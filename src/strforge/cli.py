@@ -3,7 +3,8 @@
 Subcommands: train, eval, describe, audit, frontier, synthgen. Every run
 writes its outputs under --out together with a manifest.json summary (flags,
 seed, versions, wall time). Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numeric failure. STRFORGE_THREADS bounds internal worker threads.
+error (including a checkpoint whose batch-norm layers hold no statistics),
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .pipeline import (
     validate,
 )
 from .predict import CodecError
-from .tensor import Tensor
+from .tensor import StateError
 from .tps import DegenerateFiducialsError
 from .tradeoff import emit_report, load_fixture
 
@@ -47,13 +48,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("STRFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_run_manifest(out_dir, args, t0):
@@ -89,14 +83,14 @@ def cmd_train(args):
                          stop_accuracy=args.stop_accuracy)
     if args.fractions:
         fracs = [float(f) for f in args.fractions.split(",")]
-        table = fraction_sweep(cfg, recipe, fracs, tr, va, threads=thread_count())
+        table = fraction_sweep(cfg, recipe, fracs, tr, va)
         with open(os.path.join(args.out, "fraction_sweep.csv"), "w") as fh:
             fh.write("fraction,val_accuracy\n")
             for f, acc in table:
                 fh.write(f"{f},{acc}\n")
         print("fraction sweep:", table)
         return EXIT_OK
-    result = train(model, recipe, tr, va, threads=thread_count())
+    result = train(model, recipe, tr, va)
     model.save(os.path.join(args.out, "checkpoint.bin"),
                extra={"best_step": result.best_step,
                       "best_accuracy": result.best_accuracy})
@@ -150,7 +144,7 @@ def cmd_eval(args):
         model = assemble(cfg, initialize=False)
         model.load(args.checkpoint)
         va = synth_toydata(args.val_size, max_len=args.max_len, seed=args.seed + 2)
-        acc = validate(model, va.images, va.labels, threads=thread_count())
+        acc = validate(model, va.images, va.labels)
         out = {"name": cfg.name, "per_dataset": {"custom": acc},
                "counts": {"custom": len(va.labels)}, "total": acc}
     with open(os.path.join(args.out, "record.json"), "w") as fh:
@@ -338,7 +332,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileNotFoundError, json.JSONDecodeError, KeyError, CodecError,
-            ValueError) as exc:
+            StateError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     if getattr(args, "out", None):

@@ -117,12 +117,6 @@ def all_combinations(scale: float = 1.0, **kwargs):
     return out
 
 
-def scaled_units(c: int, scale: float) -> int:
-    if scale >= 1.0:
-        return c
-    return max(8, math.ceil(c * scale))
-
-
 class Model:
     """An assembled four-stage recognizer."""
 
@@ -143,7 +137,7 @@ class Model:
 
         self.seq = None
         if cfg.seq == "BiLSTM":
-            hidden = scaled_units(256, cfg.scale)
+            hidden = self.feat_graph.scaled(256)
             self.seq = BiLSTMStack(input_size=feat_width, hidden_size=hidden,
                                    output_size=hidden, dtype=dtype, name="seq")
             feat_width = self.seq.output_size
@@ -156,7 +150,7 @@ class Model:
                                 requires_grad=True)
             self.attn = None
         else:
-            hidden = scaled_units(256, cfg.scale)
+            hidden = self.feat_graph.scaled(256)
             self.attn = AttnDecoder(input_size=feat_width, hidden_size=hidden,
                                     dtype=dtype, name="attn")
 
@@ -196,7 +190,7 @@ class Model:
         b, c, h, w = v.shape
         v = v.reshape(b, c, w).transpose(0, 2, 1)  # (B, W, C)
         if self.seq is not None:
-            v = self.seq.forward(v, mode)
+            v = self.seq.forward(v)
         else:
             v = identity_seq(v)
         return v
@@ -213,14 +207,13 @@ class Model:
         encoded = [CODEC.encode(lbl) for lbl in labels]
         if self.attn is None:
             return ctc_loss_batch(self.frame_log_probs(x, mode), encoded)
-        return attn_loss_batch(self.features(x, mode), encoded, self.attn,
-                               reduce="mean")
+        return attn_loss_batch(self.features(x, mode), encoded, self.attn)
 
     def decode(self, x: Tensor, max_len: int = 25):
-        """Greedy predictions for a batch of images."""
+        """Greedy predictions for a batch of images, at most max_len characters each."""
         if self.attn is None:
             lp = self.frame_log_probs(x, mode="eval")
-            return [ctc_greedy_decode(lp.data[i]) for i in range(lp.shape[0])]
+            return [ctc_greedy_decode(lp.data[i])[:max_len] for i in range(lp.shape[0])]
         h = self.features(x, mode="eval")
         return attn_greedy_decode_batch(h, self.attn, max_len=max_len)
 
@@ -289,7 +282,7 @@ def assemble(cfg, dtype=np.float32, initialize=True) -> Model:
 def nll_objective(model: Model, batch) -> Tensor:
     """batch = (images, labels); mean -log p(Y|X) under the configured head."""
     images, labels = batch
-    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images))
+    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=model.dtype))
     return model.loss(x, labels)
 
 
@@ -364,21 +357,11 @@ def adadelta_step(params: dict, grads: dict, state: AdaDeltaState,
         p.data[...] = (p.data + dx).astype(p.dtype)
 
 
-def clip_gradients(grads: dict, magnitude: float = 5.0,
-                   per_param: bool = False) -> float:
+def clip_gradients(grads: dict, magnitude: float = 5.0) -> float:
     """Rescale gradients to the clip magnitude; returns the pre-clip norm.
 
-    Default is global-norm clipping over the concatenated gradient vector;
-    ``per_param`` clips each parameter's gradient norm independently.
+    The norm is global: taken over the concatenated gradient vector.
     """
-    if per_param:
-        total = 0.0
-        for g in grads.values():
-            n = float(np.linalg.norm(g))
-            total += n * n
-            if n > magnitude:
-                g *= magnitude / n
-        return math.sqrt(total)
     total = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
     if total > magnitude and total > 0:
         scale = magnitude / total
@@ -395,7 +378,6 @@ class TrainRecipe:
     rho: float = 0.95
     eps: float = 1e-6
     clip: float = 5.0
-    per_param_clip: bool = False
     batch_size: int = 32
     iterations: int = 3000
     val_interval: int = 200
@@ -424,23 +406,12 @@ class TrainResult:
             fh.write(self.log_csv())
 
 
-def validate(model: Model, images, labels, batch_size: int = 64,
-             threads: int = 1) -> float:
+def validate(model: Model, images, labels, batch_size: int = 64) -> float:
     """Word accuracy (normalized comparison) of greedy decoding."""
     n = images.shape[0]
-    shards = [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
-
-    def run(shard):
-        s, e = shard
-        return model.decode(Tensor(np.asarray(images[s:e], dtype=np.float64)))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pred_lists = list(pool.map(run, shards))
-    else:
-        pred_lists = [run(s) for s in shards]
-    preds = [p for chunk in pred_lists for p in chunk]
+    preds = []
+    for s in range(0, n, batch_size):
+        preds += model.decode(Tensor(np.asarray(images[s:s + batch_size], dtype=model.dtype)))
     hits = sum(normalize_label(p) == normalize_label(g)
                for p, g in zip(preds, labels))
     return 100.0 * hits / max(n, 1)
@@ -456,8 +427,7 @@ def _training_indices(n: int, fraction: float, seed: int) -> np.ndarray:
 
 
 def train(model: Model, recipe: TrainRecipe, train_set, val_set,
-          threads: int = 1, opt_state: AdaDeltaState = None,
-          start_step: int = 0) -> TrainResult:
+          opt_state: AdaDeltaState = None, start_step: int = 0) -> TrainResult:
     """AdaDelta training with periodic validation.
 
     Retains the parameters of the highest-validation-accuracy checkpoint
@@ -474,18 +444,18 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set,
     log = []
     for it in range(1, recipe.iterations + 1):
         idx = pool[rng.integers(0, len(pool), size=recipe.batch_size)]
-        x = Tensor(np.asarray(train_set.images[idx], dtype=np.float64))
+        x = Tensor(np.asarray(train_set.images[idx], dtype=model.dtype))
         labels = [train_set.labels[int(i)] for i in idx]
         loss = model.loss(x, labels)
         for p in params.values():
             p.zero_grad()
         loss.backward()
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-        clip_gradients(grads, recipe.clip, per_param=recipe.per_param_clip)
+        clip_gradients(grads, recipe.clip)
         adadelta_step(params, grads, state, rho=recipe.rho, eps=recipe.eps)
 
         if it % recipe.val_interval == 0 or it == recipe.iterations:
-            acc = validate(model, val_set.images, val_set.labels, threads=threads)
+            acc = validate(model, val_set.images, val_set.labels)
             log.append((start_step + it, float(loss.item()), acc))
             if acc > best_acc:
                 best_acc, best_step = acc, start_step + it
@@ -498,22 +468,22 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set,
 
 
 def fine_tune(model: Model, recipe: TrainRecipe, train_set, val_set,
-              epochs: int = 10, threads: int = 1) -> TrainResult:
+              epochs: int = 10) -> TrainResult:
     """Continue training from the model's current parameters for N epochs."""
     n = len(train_set.labels)
     iters = epochs * math.ceil(n / recipe.batch_size)
     ft = replace(recipe, iterations=iters)
-    return train(model, ft, train_set, val_set, threads=threads)
+    return train(model, ft, train_set, val_set)
 
 
 def fraction_sweep(cfg: PipelineConfig, recipe: TrainRecipe, fractions,
-                   train_set, val_set, threads: int = 1):
+                   train_set, val_set):
     """Train one model per dataset fraction; returns [(fraction, accuracy)]."""
     table = []
     for frac in fractions:
         model = assemble(cfg)
         result = train(model, replace(recipe, fraction=float(frac)),
-                       train_set, val_set, threads=threads)
+                       train_set, val_set)
         table.append((float(frac), result.best_accuracy))
     return table
 

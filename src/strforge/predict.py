@@ -114,7 +114,7 @@ def _extended_label(y: np.ndarray, blank: int) -> np.ndarray:
 
 
 def _frame_tensor(h) -> Tensor:
-    t = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=np.float64))
+    t = h if isinstance(h, Tensor) else Tensor(h)
     if t.ndim != 2:
         raise ShapeError(f"expected (T, C) frame log-probabilities, got {t.shape}")
     return t
@@ -136,7 +136,8 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
     """Batched alpha recursion: (B, T, C) log-probs, list of B index arrays -> (B,).
 
     Runs all samples in lock-step over a padded extended-label axis; fully
-    differentiable through gather and log-sum-exp primitives.
+    differentiable through gather and log-sum-exp primitives. Every constant is
+    built in ``h``'s dtype, so the recursion computes in that dtype.
     """
     if h.ndim != 3:
         raise ShapeError(f"expected (B, T, C) frame log-probabilities, got {h.shape}")
@@ -146,10 +147,11 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
         raise ShapeError("label count does not match batch size")
     exts = [_extended_label(np.asarray(lbl, dtype=np.int64), blank) for lbl in labels]
     smax = max(len(z) for z in exts)
+    dtype = h.dtype
 
     z = np.full((batch, smax), blank, dtype=np.int64)
-    valid = np.full((batch, smax), NEG_INF)         # 0 inside each label, -inf beyond
-    skip = np.full((batch, smax), NEG_INF)          # 0 where the s-2 transition is legal
+    valid = np.full((batch, smax), NEG_INF, dtype=dtype)  # 0 inside each label, -inf beyond
+    skip = np.full((batch, smax), NEG_INF, dtype=dtype)   # 0 where the s-2 transition is legal
     end_idx = np.zeros((batch, 2), dtype=np.int64)  # final-blank / final-symbol slots
     for b, zb in enumerate(exts):
         s = len(zb)
@@ -160,18 +162,18 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
                 skip[b, j] = 0.0
         end_idx[b] = (s - 1, max(s - 2, 0))
     # A length-1 extended label has no second terminal slot; mask it out.
-    end_mask = np.where(end_idx[:, 1:2] == end_idx[:, 0:1], NEG_INF, 0.0)
-    end_mask = np.concatenate([np.zeros((batch, 1)), end_mask], axis=1)
+    end_mask = np.zeros((batch, 2), dtype=dtype)
+    end_mask[end_idx[:, 1] == end_idx[:, 0], 1] = NEG_INF
 
-    ninf_col = Tensor(np.full((batch, 1), NEG_INF))
+    ninf_col = Tensor(np.full((batch, 1), NEG_INF, dtype=dtype))
 
     def shifted(a, by):
         if smax <= by:
-            return Tensor(np.full((batch, smax), NEG_INF))
+            return Tensor(np.full((batch, smax), NEG_INF, dtype=dtype))
         return concat([ninf_col] * by + [a[:, :smax - by]], axis=1)
 
     # alpha_1: only the first blank and first symbol are reachable.
-    init_mask = np.full((batch, smax), NEG_INF)
+    init_mask = np.full((batch, smax), NEG_INF, dtype=dtype)
     init_mask[:, 0] = 0.0
     if smax > 1:
         init_mask[:, 1] = 0.0
@@ -236,7 +238,7 @@ def ctc_brute_force(h, y: str) -> float:
 
 def ctc_greedy_decode(h) -> str:
     """Per-frame argmax (first-index tie-break), then collapse."""
-    h = np.asarray(h.data if isinstance(h, Tensor) else h, dtype=np.float64)
+    h = np.asarray(h.data if isinstance(h, Tensor) else h)
     if h.ndim != 2:
         raise ShapeError(f"expected (T, C) posteriors, got {h.shape}")
     pi = np.argmax(h, axis=1)
@@ -332,30 +334,8 @@ class AttnDecoder:
         return logits, (h, c), alpha
 
 
-def attn_step(y_prev: int, state, hseq, decoder: AttnDecoder):
-    """Functional single-sample step: (y_dist, new state, alpha).
-
-    `y_prev` is a class index; `hseq` is (I, D) or a (1, I, D) tensor.
-    """
-    h = hseq if isinstance(hseq, Tensor) else Tensor(np.asarray(hseq, dtype=np.float64))
-    if h.ndim == 2:
-        h = h.reshape(1, *h.shape)
-    onehot = np.zeros((1, decoder.num_classes), dtype=h.dtype)
-    onehot[0, int(y_prev)] = 1.0
-    logits, new_state, alpha = decoder.step(Tensor(onehot), state, h)
-    return softmax(logits, axis=1), new_state, alpha
-
-
-def attn_loss(hseq, y: str, decoder: AttnDecoder) -> Tensor:
-    """Teacher-forced NLL of Y followed by EOS (single sample)."""
-    h = hseq if isinstance(hseq, Tensor) else Tensor(np.asarray(hseq, dtype=np.float64))
-    if h.ndim == 2:
-        h = h.reshape(1, *h.shape)
-    return attn_loss_batch(h, [CODEC.encode(y)], decoder, reduce="sum")
-
-
-def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder, reduce="mean") -> Tensor:
-    """Teacher-forced NLL over a batch of index-array labels.
+def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder) -> Tensor:
+    """Teacher-forced NLL over a batch of index-array labels, averaged over the batch.
 
     Each sample contributes cross-entropy at the |Y|+1 steps through its EOS;
     shorter samples are masked out of later steps.
@@ -377,35 +357,13 @@ def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder, reduce="mean") -
         logits, state, _ = decoder.step(y_prev, state, hseq)
         logp = log_softmax(logits, axis=1)
         picked = logp[np.arange(batch), targets[:, t]]
-        mask = (t <= lengths).astype(np.float64)  # step len(Y) emits EOS
+        mask = (t <= lengths).astype(hseq.dtype)  # step len(Y) emits EOS
         term = -(picked * Tensor(mask)).sum()
         total = term if total is None else total + term
         onehot = np.zeros((batch, decoder.num_classes), dtype=hseq.dtype)
         onehot[np.arange(batch), targets[:, t]] = 1.0
         y_prev = Tensor(onehot)
-    if reduce == "mean":
-        return total * (1.0 / batch)
-    return total
-
-
-def attn_greedy_decode(hseq, decoder: AttnDecoder, max_len: int = 25) -> str:
-    """Argmax decoding, stopping at EOS or max_len."""
-    h = hseq if isinstance(hseq, Tensor) else Tensor(np.asarray(hseq, dtype=np.float64))
-    if h.ndim == 2:
-        h = h.reshape(1, *h.shape)
-    state = decoder.init_state(1)
-    y_prev = decoder.start_onehot(1)
-    out = []
-    for _ in range(max_len):
-        logits, state, _ = decoder.step(y_prev, state, h)
-        idx = int(np.argmax(logits.data[0]))
-        if idx == SPECIAL_INDEX:
-            break
-        out.append(idx)
-        onehot = np.zeros((1, decoder.num_classes), dtype=h.dtype)
-        onehot[0, idx] = 1.0
-        y_prev = Tensor(onehot)
-    return CODEC.decode(out)
+    return total * (1.0 / batch)
 
 
 def attn_greedy_decode_batch(hseq: Tensor, decoder: AttnDecoder, max_len: int = 25):

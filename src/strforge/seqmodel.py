@@ -108,7 +108,7 @@ class BiLSTMStack:
     def param_element_count(self):
         return sum(int(p.size) for p in self.params().values())
 
-    def forward(self, v: Tensor, mode="train") -> Tensor:
+    def forward(self, v: Tensor) -> Tensor:
         """(B, I, D) -> (B, I, output_size)."""
         if v.ndim != 3:
             raise ShapeError(f"expected (B, I, D) feature sequence, got {v.shape}")

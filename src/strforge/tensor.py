@@ -1,10 +1,13 @@
 """Minimal dense tensor engine with reverse-mode differentiation.
 
-Backed by numpy arrays. Tensors default to float64 so finite-difference
-gradient checks are meaningful; float32 is supported for training. A tensor
-records the operation that produced it (parents + backward closure); calling
-``backward`` on a scalar walks the graph once in reverse topological order
-and accumulates gradients additively into every reachable tensor with
+Backed by numpy arrays. Every op computes in the dtype of its inputs and
+builds its constants in that dtype, so a float32 model computes in float32,
+forward and backward, and a float64 one in float64. Raw data keeps its float
+dtype; integer data becomes float64. ``grad_check`` takes float64 tensors
+only, so that finite differences are meaningful. A tensor records the
+operation that produced it (parents + backward closure); calling ``backward``
+on a scalar walks the graph once in reverse topological order and
+accumulates gradients additively into every reachable tensor with
 ``requires_grad`` set.
 """
 
@@ -346,18 +349,6 @@ class Tensor:
         return self ** 0.5
 
 
-def tensor(data, requires_grad=False, dtype=None):
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, dtype=np.float64, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=np.float64, requires_grad=False):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-
-
 # -- linear algebra ------------------------------------------------------------
 
 
@@ -646,9 +637,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         state.update(mu.data.reshape(-1), var.data.reshape(-1))
         xhat = xc * ((var + state.eps) ** -0.5)
         return xhat * g + b
-    if mode in ("eval", "infer"):
+    if mode == "eval":
         if not state.initialized:
-            raise StateError("batchnorm infer mode before any statistics were recorded")
+            raise StateError("batchnorm eval mode before any statistics were recorded")
         rm = state.running_mean.reshape(cshape)
         rv = state.running_var.reshape(cshape)
         xhat = (x - rm) * ((rv + state.eps) ** -0.5)
@@ -696,12 +687,12 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     gx = (grid.data[..., 0] + 1.0) * (w - 1) / 2.0  # (N, Ho, Wo) in pixel units
     gy = (grid.data[..., 1] + 1.0) * (h - 1) / 2.0
 
+    fx = gx - np.floor(gx)  # interpolation weights stay in the grid's dtype
+    fy = gy - np.floor(gy)
     x0 = np.floor(gx).astype(np.int64)
     y0 = np.floor(gy).astype(np.int64)
     x1 = x0 + 1
     y1 = y0 + 1
-    fx = gx - x0
-    fy = gy - y0
 
     def in_range(xi, yi):
         return (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)

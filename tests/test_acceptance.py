@@ -36,7 +36,8 @@ from strforge.pipeline import (
 )
 from strforge.predict import (
     AttnDecoder,
-    attn_loss,
+    CODEC,
+    attn_loss_batch,
     collapse,
     ctc_brute_force,
     ctc_log_prob,
@@ -200,13 +201,13 @@ def test_criterion_4_gradient_suite():
                      [logits])
     assert rep["max_rel_error"] < 1e-4
 
-    # attn_loss over the encoder states and the output bias
+    # attention loss over the encoder states and the output bias
     dec = AttnDecoder(input_size=4, hidden_size=4, dtype=np.float64,
                       name="attn")
     for name, p in dec.params().items():
         p.data[...] = rng.normal(0, 0.4, p.shape)
-    hseq = t64((3, 4), scale=0.5)
-    rep = grad_check(lambda h, bo: attn_loss(h, "ab", dec),
+    hseq = t64((1, 3, 4), scale=0.5)
+    rep = grad_check(lambda h, bo: attn_loss_batch(h, [CODEC.encode("ab")], dec),
                      [hseq, dec.params()["attn.b_out"]])
     assert rep["max_rel_error"] < 1e-4
 

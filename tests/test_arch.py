@@ -97,6 +97,11 @@ class TestScaling:
         expect = c if scale >= 1.0 else max(8, int(np.ceil(c * scale)))
         assert g.scaled(c) == expect
 
+    def test_scaled_floor_cases(self):
+        assert build_vgg(scale=1.0).scaled(512) == 512
+        assert build_vgg(scale=0.125).scaled(512) == 64
+        assert build_vgg(scale=0.125).scaled(16) == 8  # floor at 8
+
     def test_scaled_forward_shapes(self):
         for name, builder in BUILDERS.items():
             g = builder(scale=0.125)

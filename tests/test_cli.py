@@ -9,6 +9,7 @@ import pytest
 
 import strforge.cli as cli
 from strforge.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from strforge.pipeline import PipelineConfig, assemble
 from strforge.tps import DegenerateFiducialsError
 
 
@@ -66,13 +67,15 @@ def test_numeric_beats_data_classification(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("STRFORGE_THREADS", raising=False)
-    assert cli.thread_count() == 1
-    monkeypatch.setenv("STRFORGE_THREADS", "4")
-    assert cli.thread_count() == 4
-    monkeypatch.setenv("STRFORGE_THREADS", "junk")
-    assert cli.thread_count() == 1
+def test_checkpoint_without_bn_statistics_exits_3(tmp_path, capsys):
+    # Saved before any train-mode forward: the batch-norm layers hold no
+    # statistics, so eval-mode decoding cannot run.
+    path = tmp_path / "fresh.bin"
+    assemble(PipelineConfig.from_string("None-VGG-None-CTC", scale=0.125)).save(path)
+    code = main(["eval", "--checkpoint", str(path), "--val-size", "4",
+                 "--out", str(tmp_path / "ev")])
+    assert code == EXIT_DATA
+    assert "statistics" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

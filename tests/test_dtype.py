@@ -1,0 +1,84 @@
+"""The dtype policy: a model computes in its own dtype, forward and backward."""
+
+import numpy as np
+import pytest
+
+from strforge.pipeline import (
+    PipelineConfig,
+    TrainRecipe,
+    all_combinations,
+    assemble,
+    train,
+)
+from strforge.tensor import Tensor
+from strforge.toydata import synth_toydata
+
+
+def graph_nodes(root):
+    """Every tensor the graph of `root` reaches, constants included."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(node._parents)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["None-VGG-BiLSTM-CTC", "None-RCNN-None-Attn",
+                                  "TPS-ResNet-BiLSTM-Attn"])
+def test_loss_and_backward_stay_in_model_dtype(name, dtype):
+    model = assemble(PipelineConfig.from_string(name, scale=0.125), dtype=dtype)
+    data = synth_toydata(2, max_len=3, seed=0)
+    loss = model.loss(Tensor(np.asarray(data.images, dtype=dtype)), data.labels)
+    loss.backward()
+    nodes = graph_nodes(loss)
+    assert len(nodes) > 100
+    assert {str(n.dtype) for n in nodes} == {np.dtype(dtype).name}
+    assert {str(n.grad.dtype) for n in nodes if n.grad is not None} == {np.dtype(dtype).name}
+    assert all(p.grad.dtype == dtype for p in model.params().values())
+
+
+def test_train_and_validate_feed_the_model_dtype():
+    model = assemble(PipelineConfig.from_string("None-VGG-None-CTC", scale=0.125))
+    seen = []
+    features = model.features
+
+    def recording(x, mode="train"):
+        seen.append(x.dtype)
+        return features(x, mode)
+
+    model.features = recording
+    data = synth_toydata(4, max_len=2, seed=0)
+    train(model, TrainRecipe(batch_size=2, iterations=1, val_interval=1), data, data)
+    assert len(seen) == 2  # one training step, one validation batch
+    assert set(seen) == {np.dtype(np.float32)}
+
+
+def test_float32_tracks_float64_on_all_24():
+    """float32 against float64 with the same parameters and batch.
+
+    The loss is bounded on every combination. The gradient is bounded only
+    without TPS: at identity initialization the bilinear sampling grid sits
+    exactly on pixel centres, where the gradient with respect to the grid is
+    one-sided, so rounding alone picks the side and the two dtypes may take
+    different ones.
+    """
+    data = synth_toydata(2, max_len=3, seed=0)
+    for cfg in all_combinations(scale=0.125):
+        m32 = assemble(cfg, dtype=np.float32)
+        m64 = assemble(cfg, dtype=np.float64, initialize=False)
+        m64.set_param_values({k: p.data for k, p in m32.params().items()})
+        losses, grads = [], []
+        for m in (m32, m64):
+            loss = m.loss(Tensor(np.asarray(data.images, dtype=m.dtype)), data.labels)
+            loss.backward()
+            losses.append(loss.item())
+            grads.append(np.concatenate([p.grad.ravel().astype(np.float64)
+                                         for _, p in sorted(m.params().items())]))
+        assert abs(losses[0] - losses[1]) <= 1e-3 * abs(losses[1]), cfg.name
+        if cfg.trans == "None":
+            gap = np.abs(grads[0] - grads[1]).max() / np.abs(grads[1]).max()
+            assert gap <= 1e-4, (cfg.name, gap)

@@ -10,11 +10,8 @@ from strforge.predict import (
     CodecError,
     NUM_CLASSES,
     SPECIAL_INDEX,
-    attn_greedy_decode,
     attn_greedy_decode_batch,
-    attn_loss,
     attn_loss_batch,
-    attn_step,
     collapse,
     ctc_brute_force,
     ctc_greedy_decode,
@@ -22,7 +19,7 @@ from strforge.predict import (
     ctc_log_prob_batch,
     ctc_loss,
 )
-from strforge.tensor import Tensor, grad_check, log_softmax
+from strforge.tensor import Tensor, grad_check, log_softmax, softmax
 
 
 def log_uniform(t, c):
@@ -167,18 +164,25 @@ def filled_decoder(seed, input_size=6, hidden=5):
     return dec
 
 
+def one_step(dec, y_prev, state, hseq):
+    """AttnDecoder.step for a single (I, D) sequence, as a batch of 1."""
+    onehot = np.zeros((1, NUM_CLASSES))
+    onehot[0, y_prev] = 1.0
+    return dec.step(Tensor(onehot), state, Tensor(np.asarray(hseq)[None]))
+
+
 class TestAttention:
     def test_singleton_alpha(self):
         dec = filled_decoder(1)
-        _, _, alpha = attn_step(3, dec.init_state(1),
-                                np.random.default_rng(2).normal(size=(1, 6)), dec)
+        _, _, alpha = one_step(dec, 3, dec.init_state(1),
+                               np.random.default_rng(2).normal(size=(1, 6)))
         assert np.allclose(alpha.data, [[1.0]])
 
     def test_zero_v_uniform_alpha(self):
         dec = filled_decoder(3)
         dec.vec_score.data[...] = 0.0
-        _, _, alpha = attn_step(0, dec.init_state(1),
-                                np.random.default_rng(4).normal(size=(4, 6)), dec)
+        _, _, alpha = one_step(dec, 0, dec.init_state(1),
+                               np.random.default_rng(4).normal(size=(4, 6)))
         assert np.allclose(alpha.data, 0.25)
 
     def test_hand_composed_oracle(self):
@@ -186,7 +190,7 @@ class TestAttention:
         rng = np.random.default_rng(6)
         hseq = rng.normal(size=(3, 6))
         hp, cp = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-        y_dist, (h, c), alpha = attn_step(7, (Tensor(hp), Tensor(cp)), hseq, dec)
+        logits, (h, c), alpha = one_step(dec, 7, (Tensor(hp), Tensor(cp)), hseq)
         e = np.array([dec.vec_score.data
                       @ np.tanh(dec.w_score.data @ hp[0]
                                 + dec.v_score.data @ hseq[i] + dec.b_score.data)
@@ -203,32 +207,34 @@ class TestAttention:
                           np.tanh(gates[10:15]), sig(gates[15:20]))
         c_ref = f_ * cp[0] + i_ * g_
         h_ref = o_ * np.tanh(c_ref)
-        logits = dec.w_out.data @ h_ref + dec.b_out.data
-        probs = np.exp(logits - logits.max())
+        logits_ref = dec.w_out.data @ h_ref + dec.b_out.data
+        probs = np.exp(logits_ref - logits_ref.max())
         probs /= probs.sum()
         assert np.allclose(alpha.data[0], a)
+        assert np.allclose(c.data[0], c_ref)
         assert np.allclose(h.data[0], h_ref)
-        assert np.allclose(y_dist.data[0], probs)
+        assert np.allclose(logits.data[0], logits_ref)
+        assert np.allclose(softmax(logits, axis=1).data[0], probs)
 
     @given(st.integers(1, 6), st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
     def test_alpha_is_distribution(self, nsteps, seed):
         dec = filled_decoder(seed)
         hseq = np.random.default_rng(seed + 99).normal(size=(nsteps, 6))
-        _, _, alpha = attn_step(0, dec.init_state(1), hseq, dec)
+        _, _, alpha = one_step(dec, 0, dec.init_state(1), hseq)
         assert np.all(alpha.data >= 0)
         assert abs(alpha.data.sum() - 1.0) < 1e-9
 
     def test_eos_bias_empty_decode(self):
         dec = AttnDecoder(input_size=6, hidden_size=5, dtype=np.float64)
         dec.b_out.data[SPECIAL_INDEX] = 10.0
-        h = np.random.default_rng(8).normal(size=(4, 6))
-        assert attn_greedy_decode(h, dec) == ""
+        h = Tensor(np.random.default_rng(8).normal(size=(1, 4, 6)))
+        assert attn_greedy_decode_batch(h, dec) == [""]
 
     def test_max_len_zero(self):
         dec = filled_decoder(9)
-        h = np.random.default_rng(10).normal(size=(4, 6))
-        assert attn_greedy_decode(h, dec, max_len=0) == ""
+        h = Tensor(np.random.default_rng(10).normal(size=(1, 4, 6)))
+        assert attn_greedy_decode_batch(h, dec, max_len=0) == [""]
 
     def test_greedy_matches_stepwise_trace(self):
         dec = filled_decoder(11)
@@ -237,30 +243,31 @@ class TestAttention:
         state = dec.init_state(1)
         prev = SPECIAL_INDEX
         for _ in range(25):
-            y_dist, state, _ = attn_step(prev, state, h, dec)
-            idx = int(np.argmax(y_dist.data[0]))
+            logits, state, _ = one_step(dec, prev, state, h)
+            idx = int(np.argmax(logits.data[0]))
             if idx == SPECIAL_INDEX:
                 break
             out.append(ALPHABET[idx])
             prev = idx
-        assert attn_greedy_decode(h, dec) == "".join(out)
+        assert attn_greedy_decode_batch(Tensor(h[None]), dec) == ["".join(out)]
 
     def test_loss_gradient(self):
         dec = filled_decoder(13)
-        h = Tensor(np.random.default_rng(14).normal(size=(3, 6)),
+        h = Tensor(np.random.default_rng(14).normal(size=(1, 3, 6)),
                    requires_grad=True)
-        res = grad_check(lambda x: attn_loss(x, "ab", dec), [h])
+        res = grad_check(lambda x: attn_loss_batch(x, [CODEC.encode("ab")], dec), [h])
         assert res["passed"], res
 
     def test_batch_loss_matches_singles(self):
         dec = filled_decoder(15)
         rng = np.random.default_rng(16)
         hb = Tensor(rng.normal(size=(2, 4, 6)))
-        total = attn_loss_batch(hb, [CODEC.encode("ab"), CODEC.encode("xyz9")],
-                                dec, reduce="sum")
-        singles = (attn_loss(Tensor(hb.data[0]), "ab", dec).item()
-                   + attn_loss(Tensor(hb.data[1]), "xyz9", dec).item())
-        assert np.isclose(total.item(), singles)
+        labels = [CODEC.encode("ab"), CODEC.encode("xyz9")]
+        mean = attn_loss_batch(hb, labels, dec)
+        singles = [attn_loss_batch(Tensor(hb.data[i:i + 1]), [labels[i]], dec).item()
+                   for i in range(2)]
+        assert np.isclose(mean.item(), sum(singles) / 2)
         decs = attn_greedy_decode_batch(hb, dec, max_len=5)
-        assert decs == [attn_greedy_decode(hb.data[i], dec, max_len=5)
+        assert decs == [attn_greedy_decode_batch(Tensor(hb.data[i:i + 1]), dec,
+                                                 max_len=5)[0]
                         for i in range(2)]
