@@ -183,7 +183,13 @@ class Model:
     # -- forward -----------------------------------------------------------
 
     def features(self, x: Tensor, mode: str = "train") -> Tensor:
-        """Images (B, 1, 32, 100) -> feature sequence (B, I, D)."""
+        """Images (B, 1, 32, 100) -> feature sequence (B, I, D).
+
+        Images of another dtype are cast to the model's dtype (a constant, no
+        gradient), so the model computes in its own dtype whatever it is fed.
+        """
+        if x.dtype != self.dtype:
+            x = Tensor(x.data, dtype=self.dtype)
         if self.tps is not None:
             x = self.tps.forward(x, mode)
         v = self.feat.forward(x, mode)          # (B, C, 1, W)
@@ -426,8 +432,7 @@ def _training_indices(n: int, fraction: float, seed: int) -> np.ndarray:
     return perm[:keep]
 
 
-def train(model: Model, recipe: TrainRecipe, train_set, val_set,
-          opt_state: AdaDeltaState = None, start_step: int = 0) -> TrainResult:
+def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
     """AdaDelta training with periodic validation.
 
     Retains the parameters of the highest-validation-accuracy checkpoint
@@ -437,7 +442,7 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set,
     pool = _training_indices(len(train_set.labels), recipe.fraction, recipe.seed)
     rng = np.random.default_rng(recipe.seed + 1)
     params = model.params()
-    state = opt_state if opt_state is not None else AdaDeltaState()
+    state = AdaDeltaState()
 
     best_acc, best_step = -1.0, -1
     best_params = model.snapshot()
@@ -456,9 +461,9 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set,
 
         if it % recipe.val_interval == 0 or it == recipe.iterations:
             acc = validate(model, val_set.images, val_set.labels)
-            log.append((start_step + it, float(loss.item()), acc))
+            log.append((it, float(loss.item()), acc))
             if acc > best_acc:
-                best_acc, best_step = acc, start_step + it
+                best_acc, best_step = acc, it
                 best_params = model.snapshot()
             if recipe.stop_accuracy is not None and acc >= recipe.stop_accuracy:
                 break

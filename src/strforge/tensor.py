@@ -377,11 +377,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out_data = np.where(mask, x.data, 0.0)
+    out_data = np.maximum(x.data, 0)
 
     def backward(g):
-        return (g * mask,)
+        return (g * (out_data > 0),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -515,7 +514,15 @@ def _windows(data, kh, kw, sh, sw):
 
 
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D cross-correlation over NCHW input with OIHW weights."""
+    """2-D cross-correlation over NCHW input with OIHW weights.
+
+    Lowered per image to one matrix product (im2col): ``col`` holds each
+    image's (C*kh*kw, Ho*Wo) matrix of input patches, and
+    ``W(Cout, C*kh*kw) @ col`` is already NCHW. A 1x1 stride-1 unpadded conv
+    uses the input itself as ``col``. The backward reuses ``col`` for the
+    weight gradient, and scatters ``W^T @ g`` back onto the input (col2im)
+    with kh*kw contiguous slice-adds over the flattened padded input.
+    """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OIHW weight, got {x.shape}, {weight.shape}")
     if x.shape[1] != weight.shape[1]:
@@ -528,27 +535,50 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     c_out, _, kh, kw = weight.shape
     ho = conv_output_size(h, kh, sh, ph)
     wo = conv_output_size(w, kw, sw, pw)
+    pointwise = kh == kw == sh == sw == 1 and not (ph or pw)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    win = _windows(xp, kh, kw, sh, sw)  # (N, C, ho, wo, kh, kw)
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c_in * kh * kw)
+    if pointwise:
+        col = x.data.reshape(n, c_in, h * w)
+    else:
+        xp = x.data
+        if ph or pw:
+            xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+            xp[:, :, ph:ph + h, pw:pw + w] = x.data
+        win = _windows(xp, kh, kw, sh, sw)  # (N, C, Ho, Wo, kh, kw) view
+        col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, -1, ho * wo)
     wmat = weight.data.reshape(c_out, -1)
-    out_data = (col @ wmat.T).reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
+    out_data = (wmat @ col).reshape(n, c_out, ho, wo)
 
     def backward(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, c_out)
-        gw = (gmat.T @ col).reshape(weight.shape) if weight.requires_grad else None
+        gm = g.reshape(n, c_out, ho * wo)
+        gw = None
+        if weight.requires_grad:
+            gw = np.zeros(wmat.shape, dtype=g.dtype)
+            for gi, ci in zip(gm, col):  # sum over images of g_n @ col_n^T
+                gw += gi @ ci.T
+            gw = gw.reshape(weight.shape)
         gx = None
         if x.requires_grad:
-            dcol = (gmat @ wmat).reshape(n, ho, wo, c_in, kh, kw)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += dcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else gxp
+            if pointwise:
+                gx = (wmat.T @ gm).reshape(x.shape)
+            else:
+                # Window cell (i, j) of output (y, x) is padded-input cell
+                # (y*sh + i, x*sw + j), flat index y*sh*wp + x*sw + i*wp + j. With g
+                # at y*sh*wp + x*sw of a zero canvas, kernel cell (i, j) is one
+                # slice-add shifted by i*wp + j; the canvas zeros add nothing.
+                hp, wp = xp.shape[2:]
+                canvas = np.zeros((n, c_out, ho, sh * wp), dtype=g.dtype)
+                canvas[:, :, :, :sw * wo:sw] = g
+                span = ho * sh * wp
+                dcol = (wmat.T @ canvas.reshape(n, c_out, span)).reshape(n, c_in, kh, kw, span)
+                gxp = np.zeros((n, c_in, (hp + sh - 1) * wp + kw - 1), dtype=g.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, :, i * wp + j:i * wp + j + span] += dcol[:, :, i, j]
+                gx = gxp[:, :, :hp * wp].reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w]
         return gx, gw
 
-    return Tensor._make(np.ascontiguousarray(out_data), (x, weight), backward)
+    return Tensor._make(out_data, (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
@@ -615,9 +645,13 @@ class BatchNormState:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               mode: str = "train") -> Tensor:
-    """Batch normalization over all axes except the channel axis.
+    """Batch normalization over all axes except the channel axis, as one graph node.
 
     Channel axis is 1 for 4-D (NCHW) input and the last axis for 2-D input.
+    Train mode normalizes by the batch statistics and records them in `state`;
+    its backward is the closed form gx = gamma/sigma * (g - mean(g) -
+    xhat * mean(g * xhat)). Eval mode is a per-channel scale and shift by the
+    running statistics.
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -628,22 +662,43 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     else:
         raise ShapeError(f"batchnorm expects 2-D or 4-D input, got {x.shape}")
 
-    g = gamma.reshape(cshape)
-    b = beta.reshape(cshape)
+    gam = gamma.data.reshape(cshape)
     if mode == "train":
-        mu = x.mean(axis=axes, keepdims=True)
-        xc = x - mu
+        mu = x.data.mean(axis=axes, keepdims=True)
+        xc = x.data - mu
         var = (xc * xc).mean(axis=axes, keepdims=True)
-        state.update(mu.data.reshape(-1), var.data.reshape(-1))
-        xhat = xc * ((var + state.eps) ** -0.5)
-        return xhat * g + b
+        state.update(mu.reshape(-1), var.reshape(-1))
+        inv_std = (var + state.eps) ** -0.5
+        scale = gam * inv_std
+        out_data = xc * scale
+        out_data += beta.data.reshape(cshape)
+        count = x.size // gamma.size
+
+        def backward(g):
+            # with xhat = xc * inv_std: sum(g * xhat) = inv_std * sum(g * xc)
+            gbeta = g.sum(axis=axes, keepdims=True)
+            gxc = (g * xc).sum(axis=axes, keepdims=True)
+            gx = xc * (-inv_std * inv_std * gxc / count)
+            gx += g
+            gx -= gbeta / count
+            gx *= scale
+            return gx, (gxc * inv_std).reshape(gamma.shape), gbeta.reshape(beta.shape)
+
+        return Tensor._make(out_data, (x, gamma, beta), backward)
     if mode == "eval":
         if not state.initialized:
             raise StateError("batchnorm eval mode before any statistics were recorded")
-        rm = state.running_mean.reshape(cshape)
-        rv = state.running_var.reshape(cshape)
-        xhat = (x - rm) * ((rv + state.eps) ** -0.5)
-        return xhat * g + b
+        mean = state.running_mean.reshape(cshape)
+        inv_std = (state.running_var.reshape(cshape) + state.eps) ** -0.5
+        scale = gam * inv_std
+        out_data = x.data * scale
+        out_data += beta.data.reshape(cshape) - mean * scale
+
+        def backward(g):
+            ggamma = (g * (x.data - mean)).sum(axis=axes) * inv_std.reshape(-1)
+            return g * scale, ggamma.reshape(gamma.shape), g.sum(axis=axes).reshape(beta.shape)
+
+        return Tensor._make(out_data, (x, gamma, beta), backward)
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 

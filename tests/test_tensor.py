@@ -12,6 +12,49 @@ def rand(shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(0, scale, shape)
 
 
+def naive_conv2d(x, w, stride, padding):
+    """Cross-correlation by explicit loops over every output cell."""
+    (sh, sw), (ph, pw) = stride, padding
+    n, _, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, c_out, ho, wo))
+    for b in range(n):
+        for o in range(c_out):
+            for i in range(ho):
+                for j in range(wo):
+                    out[b, o, i, j] = (xp[b, :, i * sh:i * sh + kh, j * sw:j * sw + kw] * w[o]).sum()
+    return out
+
+
+def naive_maxpool2d(x, kernel, stride, padding):
+    """Window maximum by explicit loops; padded cells are -inf, trailing cells floor away."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, c, ho, wo))
+    for i in range(ho):
+        for j in range(wo):
+            out[:, :, i, j] = xp[:, :, i * sh:i * sh + kh, j * sw:j * sw + kw].max(axis=(2, 3))
+    return out
+
+
+# (input, weight, stride, padding) of the conv shapes the backbones use:
+# 3x3 same-padded (VGG, ResNet, GRCL feed-forward), 2x2 with stride (2, 1)
+# and padding (0, 1) (ResNet conv6) and 1x1 (GRCL gates, ResNet
+# projections); then a column stride, which no backbone uses, with and
+# without padding.
+CONV_CASES = [
+    ((2, 3, 5, 6), (4, 3, 3, 3), (1, 1), (1, 1)),
+    ((2, 3, 4, 5), (4, 3, 2, 2), (2, 1), (0, 1)),
+    ((3, 4, 3, 5), (2, 4, 1, 1), (1, 1), (0, 0)),
+    ((2, 3, 5, 5), (2, 3, 1, 1), (2, 2), (0, 0)),
+    ((2, 3, 5, 7), (3, 3, 3, 3), (2, 2), (1, 1)),
+]
+
+
 class TestAutodiffBasics:
     def test_add_mul_grads(self):
         a = Tensor(rand((3, 4), 1), requires_grad=True)
@@ -80,6 +123,22 @@ class TestNNOps:
                                              padding=(1, 1))).sum(), [x, w])
         assert res["passed"], res
 
+    @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES)
+    def test_conv2d_matches_loops(self, xs, ws, stride, padding):
+        x, w = rand(xs, 1), rand(ws, 2)
+        out = tc.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        assert np.allclose(out.data, naive_conv2d(x, w, stride, padding), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES[1:])  # [0]: test_conv2d_grad
+    def test_conv2d_grad_on_backbone_shapes(self, xs, ws, stride, padding):
+        x = Tensor(rand(xs, 1), requires_grad=True)
+        w = Tensor(rand(ws, 2, 0.3), requires_grad=True)
+        probe = rand(naive_conv2d(x.data, w.data, stride, padding).shape, 3)
+        res = grad_check(
+            lambda xx, ww: (tc.conv2d(xx, ww, stride=stride, padding=padding) * probe).sum(),
+            [x, w])
+        assert res["passed"], res
+
     def test_conv_output_size_floor(self):
         assert tc.conv_output_size(25, 2, 2, 0, floor=True) == 12
         with pytest.raises(tc.ShapeError):
@@ -89,6 +148,17 @@ class TestNNOps:
         x = Tensor(rand((1, 2, 6, 6), 3), requires_grad=True)
         res = grad_check(
             lambda xx: tc.maxpool2d(xx, (2, 2), stride=(1, 1)).sum(), [x])
+        assert res["passed"], res
+
+    def test_maxpool_strided_padded_matches_loops_and_grad(self):
+        # ResNet and VGG pool with kernel (2, 2), stride (2, 1), padding (0, 1)
+        args = ((2, 2), (2, 1), (0, 1))
+        x = Tensor(rand((2, 3, 4, 5), 13), requires_grad=True)
+        out = tc.maxpool2d(x, *args)
+        assert out.shape == (2, 3, 2, 6)
+        assert np.array_equal(out.data, naive_maxpool2d(x.data, *args))
+        probe = rand(out.shape, 14)
+        res = grad_check(lambda xx: (tc.maxpool2d(xx, *args) * probe).sum(), [x])
         assert res["passed"], res
 
     def test_maxpool_floor_semantics(self):
@@ -108,6 +178,30 @@ class TestNNOps:
             return (tc.batchnorm(xx, gg, bb, state, mode="train") * probe).sum()
 
         res = grad_check(f, [x, g, b], tol=1e-3)
+        assert res["passed"], res
+
+    def test_batchnorm_eval_grad(self):
+        state = tc.BatchNormState(3)
+        state.update(rand((3,), 15), np.array([0.5, 1.0, 2.0]))
+        x = Tensor(rand((4, 3, 2, 2), 16), requires_grad=True)
+        g = Tensor(rand((3,), 17), requires_grad=True)
+        b = Tensor(rand((3,), 18), requires_grad=True)
+        probe = rand((4, 3, 2, 2), 19)
+        res = grad_check(lambda xx, gg, bb: (tc.batchnorm(xx, gg, bb, state, mode="eval")
+                                             * probe).sum(), [x, g, b])
+        assert res["passed"], res
+
+    def test_batchnorm_train_grad_2d(self):
+        x = Tensor(rand((6, 3), 20), requires_grad=True)
+        g = Tensor(rand((3,), 21), requires_grad=True)
+        b = Tensor(rand((3,), 22), requires_grad=True)
+        probe = rand((6, 3), 23)
+
+        def f(xx, gg, bb):
+            state = tc.BatchNormState(3)
+            return (tc.batchnorm(xx, gg, bb, state, mode="train") * probe).sum()
+
+        res = grad_check(f, [x, g, b])
         assert res["passed"], res
 
     def test_batchnorm_eval_uses_running_stats(self):
