@@ -48,6 +48,10 @@ def load_params(path):
         hlen = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
         header = json.loads(fh.read(hlen).decode("utf-8"))
         payload = fh.read()
+    expected = 4 * sum(int(np.prod(e["shape"])) for e in header["params"].values())
+    if len(payload) != expected:
+        raise ValueError(f"payload is {len(payload)} bytes; the header's arrays "
+                         f"take {expected}")
     out = {}
     for name, entry in header["params"].items():
         shape = tuple(entry["shape"])

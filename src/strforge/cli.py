@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .arch import BUILDERS
+from .checkpoint import load_params
 from .evalkit import (
     EvalConfigError,
     Manifest,
@@ -110,6 +111,19 @@ def _parse_kv(pairs, what):
     return out
 
 
+def _checkpoint_config(args):
+    """The config a checkpoint's header names; --pipeline and --scale, if given, must agree."""
+    _, extra = load_params(args.checkpoint)
+    cfg = PipelineConfig.from_string(extra["config"], scale=extra["scale"],
+                                     num_fiducials=extra["num_fiducials"], seed=args.seed)
+    if args.pipeline is not None and PipelineConfig.from_string(args.pipeline).name != cfg.name:
+        raise ConfigError(f"--pipeline {args.pipeline} does not match the checkpoint's "
+                          f"{cfg.name}")
+    if args.scale is not None and args.scale != cfg.scale:
+        raise ConfigError(f"--scale {args.scale} does not match the checkpoint's {cfg.scale}")
+    return cfg
+
+
 def cmd_eval(args):
     _prep_out(args)
     if args.manifest:
@@ -139,8 +153,7 @@ def cmd_eval(args):
         if not args.checkpoint:
             raise EvalConfigError("eval needs either --manifest/--preds or "
                                   "--checkpoint")
-        cfg = PipelineConfig.from_string(args.pipeline, scale=args.scale,
-                                         seed=args.seed)
+        cfg = _checkpoint_config(args)
         model = assemble(cfg, initialize=False)
         model.load(args.checkpoint)
         va = synth_toydata(args.val_size, max_len=args.max_len, seed=args.seed + 2)
@@ -267,9 +280,10 @@ def build_parser():
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate predictions or a checkpoint")
-    e.add_argument("--pipeline", default="None-VGG-None-CTC",
-                   help="combination for checkpoint mode")
-    e.add_argument("--scale", type=float, default=0.125, help="channel scale")
+    e.add_argument("--pipeline", default=None,
+                   help="checkpoint mode: must match the checkpoint's combination")
+    e.add_argument("--scale", type=float, default=None,
+                   help="checkpoint mode: must match the checkpoint's channel scale")
     e.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     e.add_argument("--checkpoint", default=None, help="checkpoint to score")
     e.add_argument("--val-size", type=int, default=200, help="synthetic eval size")

@@ -5,8 +5,8 @@ rectification, a convolutional feature extractor, an optional two-layer
 BiLSTM, and either a CTC or an attention prediction head — 2 x 3 x 2 x 2 = 24
 combinations, plus named presets for the well-known layouts. Training uses
 AdaDelta (decay 0.95), gradient clipping at global-norm 5, He initialization,
-periodic validation with argmax-checkpoint retention, fine-tuning from a
-checkpoint, and dataset-fraction sweeps. Everything runs at toy scale
+periodic validation with argmax-checkpoint retention, a stop on non-finite
+loss or gradient, and dataset-fraction sweeps. Everything runs at toy scale
 (channel scale 1/8) on the bundled synthetic data generator.
 """
 
@@ -31,16 +31,15 @@ from .predict import (
     ctc_greedy_decode,
     ctc_loss_batch,
 )
-from .seqmodel import BiLSTMStack, identity_seq
+from .seqmodel import BiLSTMStack
 from .tensor import Tensor, log_softmax, matmul
 from .tps import TpsTransformer
 from .toydata import synth_toydata  # re-exported: the pipeline's data source
 
 __all__ = [
     "ConfigError", "PipelineConfig", "TrainRecipe", "Model", "PRESETS",
-    "assemble", "all_combinations", "nll_objective", "he_init",
-    "adadelta_step", "AdaDeltaState", "clip_gradients", "train", "fine_tune",
-    "fraction_sweep", "synth_toydata", "preprocess",
+    "assemble", "all_combinations", "he_init", "adadelta_step", "AdaDeltaState",
+    "clip_gradients", "train", "fraction_sweep", "synth_toydata",
 ]
 
 TRANS_OPTIONS = ("None", "TPS")
@@ -141,7 +140,6 @@ class Model:
             self.seq = BiLSTMStack(input_size=feat_width, hidden_size=hidden,
                                    output_size=hidden, dtype=dtype, name="seq")
             feat_width = self.seq.output_size
-        self.seq_width = feat_width
 
         if cfg.pred == "CTC":
             self.ctc_w = Tensor(np.zeros((NUM_CLASSES, feat_width), dtype=dtype),
@@ -197,8 +195,6 @@ class Model:
         v = v.reshape(b, c, w).transpose(0, 2, 1)  # (B, W, C)
         if self.seq is not None:
             v = self.seq.forward(v)
-        else:
-            v = identity_seq(v)
         return v
 
     def frame_log_probs(self, x: Tensor, mode: str = "train") -> Tensor:
@@ -225,10 +221,6 @@ class Model:
 
     # -- checkpointing -------------------------------------------------------
 
-    def state_extra(self):
-        return {"config": self.cfg.name, "scale": self.cfg.scale,
-                "num_fiducials": self.cfg.num_fiducials}
-
     def bn_states(self):
         out = {}
         if self.tps is not None:
@@ -237,9 +229,9 @@ class Model:
         return out
 
     def save(self, path, extra=None):
-        merged = self.state_extra()
-        if extra:
-            merged.update(extra)
+        """Write parameters and BN statistics; the header names the config."""
+        merged = {"config": self.cfg.name, "scale": self.cfg.scale,
+                  "num_fiducials": self.cfg.num_fiducials, **(extra or {})}
         arrays = dict(self.params())
         initialized = []
         for name, state in self.bn_states().items():
@@ -251,7 +243,13 @@ class Model:
         ckpt.save_params(path, arrays, extra=merged)
 
     def load(self, path):
+        """Read a checkpoint saved by a model of this config; returns its header."""
         params, extra = ckpt.load_params(path)
+        saved = (extra.get("config"), extra.get("scale"), extra.get("num_fiducials"))
+        own = (self.cfg.name, self.cfg.scale, self.cfg.num_fiducials)
+        if saved != own:
+            raise ConfigError(f"checkpoint (config, scale, num_fiducials) {saved} "
+                              f"does not match the model's {own}")
         self.set_param_values(params)
         initialized = set(extra.get("bn_initialized", []))
         for name, state in self.bn_states().items():
@@ -283,13 +281,6 @@ def assemble(cfg, dtype=np.float32, initialize=True) -> Model:
     if initialize:
         model.initialize()
     return model
-
-
-def nll_objective(model: Model, batch) -> Tensor:
-    """batch = (images, labels); mean -log p(Y|X) under the configured head."""
-    images, labels = batch
-    x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=model.dtype))
-    return model.loss(x, labels)
 
 
 # -- initialization ---------------------------------------------------------------
@@ -437,7 +428,9 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
 
     Retains the parameters of the highest-validation-accuracy checkpoint
     (earliest step wins ties) and returns them with the (step, loss,
-    val_accuracy) log. `train_set`/`val_set` expose .images and .labels.
+    val_accuracy) log. `train_set`/`val_set` expose .images and .labels. A
+    non-finite loss or pre-clip gradient norm restores those parameters (the
+    initial ones before the first validation) and raises FloatingPointError.
     """
     pool = _training_indices(len(train_set.labels), recipe.fraction, recipe.seed)
     rng = np.random.default_rng(recipe.seed + 1)
@@ -456,7 +449,11 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
             p.zero_grad()
         loss.backward()
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
-        clip_gradients(grads, recipe.clip)
+        norm = clip_gradients(grads, recipe.clip)
+        if not (math.isfinite(loss.item()) and math.isfinite(norm)):
+            model.set_param_values(best_params)
+            raise FloatingPointError(f"non-finite loss {loss.item()} or gradient norm "
+                                     f"{norm} at step {it}; best parameters restored")
         adadelta_step(params, grads, state, rho=recipe.rho, eps=recipe.eps)
 
         if it % recipe.val_interval == 0 or it == recipe.iterations:
@@ -472,15 +469,6 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
                        best_params=best_params, log=log)
 
 
-def fine_tune(model: Model, recipe: TrainRecipe, train_set, val_set,
-              epochs: int = 10) -> TrainResult:
-    """Continue training from the model's current parameters for N epochs."""
-    n = len(train_set.labels)
-    iters = epochs * math.ceil(n / recipe.batch_size)
-    ft = replace(recipe, iterations=iters)
-    return train(model, ft, train_set, val_set)
-
-
 def fraction_sweep(cfg: PipelineConfig, recipe: TrainRecipe, fractions,
                    train_set, val_set):
     """Train one model per dataset fraction; returns [(fraction, accuracy)]."""
@@ -491,29 +479,3 @@ def fraction_sweep(cfg: PipelineConfig, recipe: TrainRecipe, fractions,
                        train_set, val_set)
         table.append((float(frac), result.best_accuracy))
     return table
-
-
-# -- input preprocessing ------------------------------------------------------------
-
-
-def preprocess(image: np.ndarray) -> np.ndarray:
-    """Grayscale image (H, W) or (H, W, 3), any size -> (1, 32, 100) in [-1, 1]."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3:
-        img = img.mean(axis=2)
-    if img.max() > 1.5:  # 8-bit input
-        img = img / 255.0
-    h, w = img.shape
-    ys = np.linspace(0, h - 1, 32)
-    xs = np.linspace(0, w - 1, 100)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    out = (img[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
-           + img[np.ix_(y1, x0)] * wy * (1 - wx)
-           + img[np.ix_(y0, x1)] * (1 - wy) * wx
-           + img[np.ix_(y1, x1)] * wy * wx)
-    return (out * 2.0 - 1.0).astype(np.float32)[None]

@@ -4,7 +4,7 @@ The label codec covers the 36 case-folded alphanumerics; index 36 is the
 special class — blank for CTC, end-of-sequence for attention. CTC marginal
 probabilities are computed by the forward (alpha) dynamic program over the
 blank-interleaved label, entirely in log space and built from differentiable
-primitives, so ``ctc_loss`` backpropagates into the frame log-probabilities.
+primitives, so ``ctc_loss_batch`` backpropagates into the frame log-probabilities.
 A brute-force path-enumeration oracle validates the recursion on small
 instances. Decoding is greedy for both heads; no beam search.
 """
@@ -96,7 +96,8 @@ def collapse(pi) -> str:
 # the full 37-class case the blank is likewise the last class, index 36).
 
 
-def _encode_for(classes: int, y: str) -> np.ndarray:
+def encode_for(classes: int, y: str) -> np.ndarray:
+    """Class indices of `y` for posteriors over `classes` classes."""
     if classes == NUM_CLASSES:
         return CODEC.encode(y)
     sub = "abcdefghijklmnopqrstuvwxyz"[:classes - 1]
@@ -111,25 +112,6 @@ def _extended_label(y: np.ndarray, blank: int) -> np.ndarray:
     z = np.full(2 * len(y) + 1, blank, dtype=np.int64)
     z[1::2] = y
     return z
-
-
-def _frame_tensor(h) -> Tensor:
-    t = h if isinstance(h, Tensor) else Tensor(h)
-    if t.ndim != 2:
-        raise ShapeError(f"expected (T, C) frame log-probabilities, got {t.shape}")
-    return t
-
-
-def ctc_log_prob(h, y: str) -> Tensor:
-    """log p(Y | H) by the alpha recursion; differentiable in the frame log-probs.
-
-    `h` is (T, C) per-frame log-probabilities. Infeasible labels (extended
-    label longer than T allows) yield -inf rather than an error.
-    """
-    h = _frame_tensor(h)
-    labels = _encode_for(h.shape[1], y)
-    out = ctc_log_prob_batch(h.reshape(1, *h.shape), [labels])
-    return out.reshape(())
 
 
 def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
@@ -195,14 +177,16 @@ def _gather_frames(h: Tensor, t: int, z: np.ndarray) -> Tensor:
     return gather_rows(h[:, t, :], z)
 
 
-def ctc_loss(h, y: str) -> Tensor:
-    """Negative log-likelihood of Y under the frame posteriors."""
-    return -ctc_log_prob(h, y)
-
-
 def ctc_loss_batch(h: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood over a batch."""
-    return -ctc_log_prob_batch(h, labels).mean()
+    """Mean negative log-likelihood over a batch.
+
+    A label that cannot fit into the T frames (log-prob -inf) contributes zero
+    loss and zero gradient; the mean is still taken over the whole batch. A NaN
+    log-prob is not masked.
+    """
+    logp = ctc_log_prob_batch(h, labels)
+    feasible = logp[np.flatnonzero(logp.data != NEG_INF)]
+    return -(feasible.sum() * (1.0 / len(labels)))
 
 
 def ctc_brute_force(h, y: str) -> float:
@@ -214,7 +198,7 @@ def ctc_brute_force(h, y: str) -> float:
     if classes > 4:
         raise ValueError("brute-force oracle limited to <= 4 classes")
     blank = classes - 1
-    target = list(_encode_for(classes, y))
+    target = list(encode_for(classes, y))
     total = 0.0
     probs = np.exp(h)
 
@@ -237,16 +221,11 @@ def ctc_brute_force(h, y: str) -> float:
 
 
 def ctc_greedy_decode(h) -> str:
-    """Per-frame argmax (first-index tie-break), then collapse."""
+    """Per-frame argmax over 37-class posteriors (first-index tie-break), then collapse."""
     h = np.asarray(h.data if isinstance(h, Tensor) else h)
     if h.ndim != 2:
         raise ShapeError(f"expected (T, C) posteriors, got {h.shape}")
-    pi = np.argmax(h, axis=1)
-    if h.shape[1] != NUM_CLASSES:
-        # Restricted posteriors: last class is blank, others are 'a', 'b', ...
-        blank = h.shape[1] - 1
-        pi = np.where(pi == blank, SPECIAL_INDEX, pi + CODEC.encode("a")[0])
-    return collapse(pi)
+    return collapse(np.argmax(h, axis=1))
 
 
 # -- attention decoder --------------------------------------------------------------
@@ -261,28 +240,23 @@ class AttnDecoder:
     Parameters are created zero-filled.
     """
 
-    def __init__(self, input_size=256, hidden_size=256, attn_size=None,
-                 num_classes=NUM_CLASSES, dtype=np.float32, name="attn"):
-        if attn_size is None:
-            attn_size = hidden_size
+    def __init__(self, input_size=256, hidden_size=256, dtype=np.float32, name="attn"):
         self.name = name
-        self.input_size = input_size
         self.hidden_size = hidden_size
-        self.num_classes = num_classes
         self.dtype = dtype
 
         def par(shape):
             return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
-        self.w_score = par((attn_size, hidden_size))   # W
-        self.v_score = par((attn_size, input_size))    # V
-        self.b_score = par(attn_size)                  # b
-        self.vec_score = par(attn_size)                # v
-        self.w_ih = par((4 * hidden_size, num_classes + input_size))
+        self.w_score = par((hidden_size, hidden_size))  # W
+        self.v_score = par((hidden_size, input_size))   # V
+        self.b_score = par(hidden_size)                 # b
+        self.vec_score = par(hidden_size)               # v
+        self.w_ih = par((4 * hidden_size, NUM_CLASSES + input_size))
         self.w_hh = par((4 * hidden_size, hidden_size))
         self.b_lstm = par(4 * hidden_size)
-        self.w_out = par((num_classes, hidden_size))
-        self.b_out = par(num_classes)
+        self.w_out = par((NUM_CLASSES, hidden_size))
+        self.b_out = par(NUM_CLASSES)
 
     def params(self):
         n = self.name
@@ -308,7 +282,7 @@ class AttnDecoder:
 
     def start_onehot(self, batch):
         """The step-0 previous symbol: the special class acts as GO."""
-        y0 = np.zeros((batch, self.num_classes), dtype=self.dtype)
+        y0 = np.zeros((batch, NUM_CLASSES), dtype=self.dtype)
         y0[:, SPECIAL_INDEX] = 1.0
         return Tensor(y0)
 
@@ -360,7 +334,7 @@ def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder) -> Tensor:
         mask = (t <= lengths).astype(hseq.dtype)  # step len(Y) emits EOS
         term = -(picked * Tensor(mask)).sum()
         total = term if total is None else total + term
-        onehot = np.zeros((batch, decoder.num_classes), dtype=hseq.dtype)
+        onehot = np.zeros((batch, NUM_CLASSES), dtype=hseq.dtype)
         onehot[np.arange(batch), targets[:, t]] = 1.0
         y_prev = Tensor(onehot)
     return total * (1.0 / batch)
@@ -385,7 +359,7 @@ def attn_greedy_decode_batch(hseq: Tensor, decoder: AttnDecoder, max_len: int = 
                 seqs[b].append(int(idx[b]))
         if done.all():
             break
-        onehot = np.zeros((batch, decoder.num_classes), dtype=hseq.dtype)
+        onehot = np.zeros((batch, NUM_CLASSES), dtype=hseq.dtype)
         onehot[np.arange(batch), idx] = 1.0
         y_prev = Tensor(onehot)
     return [CODEC.decode(s) for s in seqs]

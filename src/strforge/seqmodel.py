@@ -1,12 +1,11 @@
-"""Sequence-modeling stage: two-layer bidirectional LSTM, or identity.
+"""Sequence-modeling stage: two-layer bidirectional LSTM.
 
 Features arrive as a (B, I, D) tensor — I per-image steps of width D. Each
 BiLSTM layer runs one LSTM left-to-right and an independent LSTM over the
 reversed sequence, concatenates the two hidden states per step (2H wide), and
-projects through an FC layer back to the hidden width. By default the
-projection is applied after every layer, including the last, so downstream
-predictors consume width-H vectors; ``project_last=False`` exposes the raw
-2H concatenation of the final layer instead.
+projects through an FC layer back to the hidden width, after every layer
+including the last, so downstream predictors consume width-H vectors. The
+"None" sequence option is no module at all: the model passes V through.
 
 Parameters are created zero-filled; initialization policy lives with the
 training pipeline.
@@ -70,34 +69,28 @@ class BiLSTMLayer:
         out[f"{self.name}.fc.bias"] = self.fc_b
         return out
 
-    def concat_states(self, steps):
-        """Pre-FC states: list of (B, 2H), forward half first."""
-        hf = self.fwd.run(steps)
-        hb = self.bwd.run(steps[::-1])[::-1]
-        return [concat([f, b], axis=1) for f, b in zip(hf, hb)]
-
-    def forward_steps(self, steps, project=True):
-        states = self.concat_states(steps)
-        if not project:
-            return states
-        return [matmul(s, self.fc_w.T) + self.fc_b for s in states]
+    def forward(self, v: Tensor) -> Tensor:
+        """(B, I, D) -> (B, I, out): both directions, then one FC matmul over B*I rows."""
+        batch, nsteps, _ = v.shape
+        steps = [v[:, i, :] for i in range(nsteps)]
+        hf = stack(self.fwd.run(steps), axis=1)
+        hb = stack(self.bwd.run(steps[::-1])[::-1], axis=1)
+        states = concat([hf, hb], axis=2).reshape(batch * nsteps, -1)  # forward half first
+        out = matmul(states, self.fc_w.T) + self.fc_b
+        return out.reshape(batch, nsteps, -1)
 
 
 class BiLSTMStack:
-    """Two stacked bidirectional layers with inter-layer FC projections."""
+    """Two stacked bidirectional layers, each with its FC projection."""
 
     def __init__(self, input_size=512, hidden_size=256, output_size=256,
-                 num_layers=2, project_last=True, dtype=np.float32, name="seq"):
+                 dtype=np.float32, name="seq"):
         self.name = name
-        self.project_last = project_last
-        self.layers = []
-        size = input_size
-        for i in range(num_layers):
-            layer = BiLSTMLayer(f"{name}.layer{i + 1}", size, hidden_size,
-                                output_size, dtype)
-            self.layers.append(layer)
-            size = output_size
-        self.output_size = output_size if project_last else 2 * hidden_size
+        self.layers = [
+            BiLSTMLayer(f"{name}.layer1", input_size, hidden_size, output_size, dtype),
+            BiLSTMLayer(f"{name}.layer2", output_size, hidden_size, output_size, dtype),
+        ]
+        self.output_size = output_size
 
     def params(self):
         out = {}
@@ -114,13 +107,6 @@ class BiLSTMStack:
             raise ShapeError(f"expected (B, I, D) feature sequence, got {v.shape}")
         if v.shape[1] == 0:
             raise ShapeError("empty feature sequence")
-        steps = [v[:, i, :] for i in range(v.shape[1])]
-        for li, layer in enumerate(self.layers):
-            last = li == len(self.layers) - 1
-            steps = layer.forward_steps(steps, project=self.project_last or not last)
-        return stack(steps, axis=1)
-
-
-def identity_seq(v: Tensor) -> Tensor:
-    """The "None" sequence module: H = V."""
-    return v
+        for layer in self.layers:
+            v = layer.forward(v)
+        return v

@@ -49,15 +49,14 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
+    def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
         self._backward = None
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
 
@@ -84,12 +83,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -101,7 +94,6 @@ class Tensor:
         out.data = data
         out.requires_grad = any(p.requires_grad for p in parents)
         out.grad = None
-        out.name = None
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
@@ -300,31 +292,6 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
-    def max(self, axis=None, keepdims=False):
-        """Maximum; gradient routes to the first maximal index."""
-        a = self
-        if axis is None:
-            out_data = a.data.max()
-            idx = np.unravel_index(np.argmax(a.data), a.shape)
-
-            def backward(g):
-                full = np.zeros_like(a.data)
-                full[idx] = g
-                return (full,)
-
-            return Tensor._make(np.asarray(out_data), (a,), backward)
-
-        out_data = a.data.max(axis=axis, keepdims=keepdims)
-        arg = np.argmax(a.data, axis=axis)
-
-        def backward(g):
-            g2 = g if keepdims else np.expand_dims(g, axis)
-            full = np.zeros_like(a.data)
-            np.put_along_axis(full, np.expand_dims(arg, axis), g2, axis)
-            return (full,)
-
-        return Tensor._make(out_data, (a,), backward)
-
     # -- elementwise nonlinearities -------------------------------------------
 
     def exp(self):
@@ -454,23 +421,6 @@ def stack(tensors, axis=0):
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def pad2d(x: Tensor, pad_h: int, pad_w: int, value: float = 0.0) -> Tensor:
-    """Pad the trailing two axes of an NCHW tensor by (pad_h, pad_w) on each side."""
-    if pad_h == 0 and pad_w == 0:
-        return x
-    widths = [(0, 0)] * (x.ndim - 2) + [(pad_h, pad_h), (pad_w, pad_w)]
-    out_data = np.pad(x.data, widths, constant_values=value)
-    sl = tuple([slice(None)] * (x.ndim - 2) + [
-        slice(pad_h, out_data.shape[-2] - pad_h),
-        slice(pad_w, out_data.shape[-1] - pad_w),
-    ])
-
-    def backward(g):
-        return (g[sl],)
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -85,10 +85,6 @@ class DeltaFactorization:
         return self.base_points.shape[1]
 
 
-def build_delta(base_points) -> DeltaFactorization:
-    return DeltaFactorization(base_points)
-
-
 def solve_transform(pred_points, delta: DeltaFactorization):
     """T = (Delta^-1 [C^T; 0_{3x2}])^T, a (2, F+3) matrix."""
     pred_points = np.asarray(pred_points, dtype=np.float64)
@@ -170,8 +166,8 @@ ATANH_CLAMP = 18.0  # tanh(18) == 1 to float32 precision; keeps head biases fini
 class TpsTransformer:
     """Full transformation stage: localization -> solve -> grid -> sample.
 
-    Differentiable end to end; the solve and grid steps are constant-matrix
-    multiplications once the base layout is fixed.
+    Differentiable end to end; once the base layout is fixed, the solve and
+    grid steps fold into one constant-matrix multiplication.
     """
 
     def __init__(self, num_fiducials=20, scale=1.0, out_size=(32, 100), dtype=np.float32):
@@ -181,11 +177,11 @@ class TpsTransformer:
         self.loc_graph = build_localization_net(num_fiducials, scale)
         self.loc_net = self.loc_graph.instantiate(dtype=dtype, prefix="tps.loc")
         self.base = base_fiducials(num_fiducials)
-        self.delta = build_delta(self.base)
+        self.delta = DeltaFactorization(self.base)
         q, _ = target_pixel_features(self.base, *out_size)
-        # transposed constants so the forward pass is two plain matmuls
-        self._inv_t = Tensor(self.delta.inverse.T.astype(dtype))
-        self._q = Tensor(q.astype(dtype))
+        # source = [C | 0] (Delta^-1)^T Q; the zero columns drop the last three
+        # rows of (Delta^-1)^T, leaving one (F, H*W) constant, built in float64.
+        self._grid_map = Tensor((self.delta.inverse.T[:num_fiducials] @ q).astype(dtype))
 
     def params(self):
         return self.loc_net.params()
@@ -203,19 +199,11 @@ class TpsTransformer:
         target = np.clip(target, -ATANH_CLAMP, ATANH_CLAMP)
         fc2.bias.data[...] = target.astype(self.dtype)
 
-    def predict_points(self, x: Tensor, mode="train") -> Tensor:
-        """Run the localization net; returns fiducials as a (B, 2, F) tensor."""
-        raw = self.loc_net.forward(x, mode)
-        squashed = tc.tanh(raw)
-        return squashed.reshape(x.shape[0], 2, self.num_fiducials)
-
     def forward(self, x: Tensor, mode="train") -> Tensor:
         b = x.shape[0]
-        points = self.predict_points(x, mode)
-        zeros = Tensor(np.zeros((b, 2, 3), dtype=x.dtype))
-        augmented = tc.concat([points, zeros], axis=2)      # (B, 2, F+3)
-        transform = tc.matmul(augmented, self._inv_t)       # (B, 2, F+3)
-        source = tc.matmul(transform, self._q)              # (B, 2, N)
+        raw = self.loc_net.forward(x, mode)
+        points = tc.tanh(raw).reshape(b, 2, self.num_fiducials)  # fiducials C
+        source = tc.matmul(points, self._grid_map)               # (B, 2, N)
         h, w = self.out_size
         grid = source.transpose(0, 2, 1).reshape(b, h, w, 2)
         return tc.bilinear_sample(x, grid)

@@ -40,8 +40,9 @@ from strforge.predict import (
     attn_loss_batch,
     collapse,
     ctc_brute_force,
-    ctc_log_prob,
-    ctc_loss,
+    ctc_log_prob_batch,
+    ctc_loss_batch,
+    encode_for,
 )
 from strforge.tensor import (
     Tensor,
@@ -55,7 +56,7 @@ from strforge.tensor import (
     maxpool2d,
 )
 from strforge.toydata import synth_toydata
-from strforge.tps import base_fiducials, build_delta, generate_grid, \
+from strforge.tps import DeltaFactorization, base_fiducials, generate_grid, \
     solve_transform, warp_points
 from strforge.tradeoff import (
     TradeoffPoint,
@@ -69,6 +70,11 @@ from strforge.tradeoff import (
 def _random_frames(rng, t, c):
     h = rng.normal(size=(t, c))
     return h - np.log(np.exp(h).sum(axis=1, keepdims=True))
+
+
+def _ctc_log_prob(h, y):
+    """log p(y | h) for one (T, C) posterior, run as a batch of one."""
+    return float(ctc_log_prob_batch(Tensor(h[None]), [encode_for(h.shape[1], y)]).data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +92,7 @@ def test_criterion_1_ctc_oracle_equivalence():
         max_label = min(t, 3)
         y = "".join(rng.choice(list(alphabet[:c - 1]))
                     for _ in range(rng.integers(0, max_label + 1)))
-        got = ctc_log_prob(Tensor(h), y).item()
+        got = _ctc_log_prob(h, y)
         total = ctc_brute_force(h, y)  # probability-space oracle
         if total == 0.0:
             assert got == -np.inf
@@ -99,7 +105,7 @@ def test_criterion_1_ctc_oracle_equivalence():
     total = 0.0
     for n in range(0, 6):
         for y in itertools.product("ab", repeat=n):
-            lp = ctc_log_prob(Tensor(h), "".join(y)).item()
+            lp = _ctc_log_prob(h, "".join(y))
             if lp > -np.inf:
                 total += math.exp(lp)
     assert abs(total - 1.0) < 1e-9
@@ -122,13 +128,13 @@ def test_criterion_2_collapse_fixture():
 def test_criterion_3_tps_correctness():
     # identity: predicted fiducials equal the base layout
     base = base_fiducials(20)
-    delta = build_delta(base)
+    delta = DeltaFactorization(base)
     grid = generate_grid(solve_transform(base, delta), delta, 32, 100)
     assert np.abs(grid.source - grid.target).max() < 1e-9
 
     # affine subsumption: an affine displacement yields an affine warp
     base8 = base_fiducials(8)
-    delta8 = build_delta(base8)
+    delta8 = DeltaFactorization(base8)
     a = np.array([[0.8, 0.1], [-0.05, 1.1]])
     b = np.array([[0.02], [-0.3]])
     t = solve_transform(a @ base8 + b, delta8)
@@ -138,7 +144,7 @@ def test_criterion_3_tps_correctness():
     # interpolation property at the fiducials, 100 seeds, F in {6, 20}
     for f in (6, 20):
         basef = base_fiducials(f)
-        deltaf = build_delta(basef)
+        deltaf = DeltaFactorization(basef)
         for seed in range(100):
             pred = basef + np.random.default_rng(seed).normal(0, 0.15,
                                                               basef.shape)
@@ -195,9 +201,10 @@ def test_criterion_4_gradient_suite():
     rep = grad_check(lambda x, g: bilinear_sample(x, g).sum(), [img, grid])
     assert rep["max_rel_error"] < 1e-4
 
-    # ctc_loss through the log-softmax head
-    logits = t64((4, 3))
-    rep = grad_check(lambda z: ctc_loss(log_softmax(z, axis=1), "ab"),
+    # ctc_loss_batch through the log-softmax head
+    logits = t64((1, 4, 3))
+    rep = grad_check(lambda z: ctc_loss_batch(log_softmax(z, axis=2),
+                                              [encode_for(3, "ab")]),
                      [logits])
     assert rep["max_rel_error"] < 1e-4
 
@@ -211,7 +218,7 @@ def test_criterion_4_gradient_suite():
                      [hseq, dec.params()["attn.b_out"]])
     assert rep["max_rel_error"] < 1e-4
 
-    # tiny full pipeline: tps_forward -> frame log-probs -> ctc_loss, FD over
+    # tiny full pipeline: tps_forward -> frame log-probs -> ctc_loss_batch, FD over
     # the localization head bias. Generic fiducials keep the sampling grid
     # away from exact pixel centers, where bilinear interpolation has kinks
     # that break finite differences.
@@ -229,8 +236,8 @@ def test_criterion_4_gradient_suite():
 
     def tiny_pipeline(bias):
         warped = tps.forward(img, mode="train")           # (1, 1, 4, 6)
-        frames = log_softmax(warped.reshape(4, 6), axis=1)
-        return ctc_loss(frames, "ab")
+        frames = log_softmax(warped.reshape(1, 4, 6), axis=2)
+        return ctc_loss_batch(frames, [encode_for(6, "ab")])
 
     rep = grad_check(tiny_pipeline, [fc2.bias])
     assert rep["max_rel_error"] < 1e-4

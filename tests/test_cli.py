@@ -10,6 +10,8 @@ import pytest
 import strforge.cli as cli
 from strforge.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from strforge.pipeline import PipelineConfig, assemble
+from strforge.tensor import Tensor
+from strforge.toydata import synth_toydata
 from strforge.tps import DegenerateFiducialsError
 
 
@@ -243,6 +245,24 @@ def test_train_then_eval_checkpoint(tmp_path, capsys):
     record = json.loads((ev / "record.json").read_text())
     assert 0.0 <= record["total"] <= 100.0
     capsys.readouterr()
+
+
+def test_eval_checkpoint_takes_its_config_from_the_header(tmp_path, capsys):
+    model = assemble(PipelineConfig.from_string("TPS-VGG-None-CTC", scale=0.125))
+    data = synth_toydata(4, max_len=2, seed=0)
+    model.loss(Tensor(data.images), data.labels)  # a train-mode forward fills the BN statistics
+    path = tmp_path / "tps.bin"
+    model.save(path)
+    ev = tmp_path / "ev"
+    code = main(["eval", "--checkpoint", str(path), "--val-size", "4", "--out", str(ev)])
+    assert code == EXIT_OK
+    assert json.loads((ev / "record.json").read_text())["name"] == "TPS-VGG-None-CTC"
+    capsys.readouterr()
+    for flags in (["--pipeline", "None-VGG-None-CTC"], ["--scale", "0.25"]):
+        code = main(["eval", "--checkpoint", str(path), *flags, "--val-size", "4",
+                     "--out", str(ev)])
+        assert code == EXIT_USAGE
+        assert "does not match" in capsys.readouterr().err
 
 
 def test_train_fraction_sweep(tmp_path, capsys):

@@ -18,16 +18,14 @@ from strforge.pipeline import (
     all_combinations,
     assemble,
     clip_gradients,
-    fine_tune,
     fraction_sweep,
     he_init,
-    nll_objective,
-    preprocess,
     train,
     _training_indices,
 )
+from strforge import checkpoint as ckpt
 from strforge.tensor import Tensor
-from strforge.toydata import synth_toydata
+from strforge.toydata import ToyDataset, synth_toydata
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +228,7 @@ def test_single_step_decreases_loss_on_frozen_batch():
     # One AdaDelta step on a fixed batch lowers the training objective for
     # (at least) 10/10 seeds.
     data = synth_toydata(8, max_len=3, seed=5)
+    x = Tensor(data.images)
     wins = 0
     for seed in range(10):
         cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=seed)
@@ -238,7 +237,7 @@ def test_single_step_decreases_loss_on_frozen_batch():
         state = AdaDeltaState()
         before = None
         for _ in range(2):
-            loss = nll_objective(model, (data.images, data.labels))
+            loss = model.loss(x, data.labels)
             if before is None:
                 before = loss.item()
             for p in params.values():
@@ -247,7 +246,7 @@ def test_single_step_decreases_loss_on_frozen_batch():
             grads = {k: p.grad for k, p in params.items() if p.grad is not None}
             clip_gradients(grads, 5.0)
             adadelta_step(params, grads, state)
-        after = nll_objective(model, (data.images, data.labels)).item()
+        after = model.loss(x, data.labels).item()
         wins += after < before
     assert wins == 10
 
@@ -270,10 +269,28 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 def test_load_missing_params_raises(tmp_path):
     model = assemble("None-VGG-None-CTC", initialize=True)
     path = tmp_path / "m.bin"
-    model.save(path)
-    other = assemble("None-VGG-BiLSTM-CTC", initialize=False)
+    params = model.params()
+    params.pop("pred.ctc.bias")
+    ckpt.save_params(path, params, extra={"config": "None-VGG-None-CTC", "scale": 1.0,
+                                          "num_fiducials": 20})
     with pytest.raises(KeyError):
-        other.load(path)
+        assemble("None-VGG-None-CTC", initialize=False).load(path)
+
+
+@pytest.mark.parametrize("saved, loader", [
+    ("TPS-VGG-None-CTC", PipelineConfig("None", "VGG", "None", "CTC", scale=0.125)),
+    ("None-VGG-None-CTC", PipelineConfig("None", "VGG", "BiLSTM", "CTC", scale=0.125)),
+    ("None-VGG-None-CTC", PipelineConfig("None", "VGG", "None", "CTC", scale=0.25)),
+    ("TPS-VGG-None-CTC", PipelineConfig("TPS", "VGG", "None", "CTC", scale=0.125,
+                                        num_fiducials=10)),
+])
+def test_load_config_mismatch_raises(tmp_path, saved, loader):
+    # a checkpoint carries its config; loading it into any other model is an
+    # error, even where every parameter the model needs is present
+    path = tmp_path / "m.bin"
+    assemble(PipelineConfig.from_string(saved, scale=0.125)).save(path)
+    with pytest.raises(ConfigError, match="does not match"):
+        assemble(loader, initialize=False).load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +365,34 @@ def test_fraction_sweep_runs():
     assert all(0.0 <= a <= 100.0 for _, a in table)
 
 
-def test_fine_tune_iteration_count():
-    tr = synth_toydata(20, max_len=3, seed=1)
-    va = synth_toydata(8, max_len=3, seed=2)
+def test_non_finite_training_raises_and_restores():
     cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
     model = assemble(cfg)
-    res = fine_tune(model, _tiny_recipe(batch_size=8, val_interval=1000),
-                    tr, va, epochs=2)
-    # 2 epochs x ceil(20/8) = 6 iterations -> final-step validation only
-    assert res.log[-1][0] == 6
+    before = model.snapshot()
+    tr = synth_toydata(8, max_len=3, seed=1)
+    nan_set = ToyDataset(np.full_like(tr.images, np.nan), tr.labels)
+    with pytest.raises(FloatingPointError, match="step 1"):
+        train(model, _tiny_recipe(), nan_set, synth_toydata(4, max_len=3, seed=2))
+    after = model.snapshot()
+    assert all(np.array_equal(after[k], v) for k, v in before.items())
+
+
+def test_non_finite_step_restores_the_best_parameters():
+    # the NaN image is first drawn at step 3; validation runs every step
+    cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
+    tr = synth_toydata(16, max_len=3, seed=1)
+    tr.images[3] = np.nan
+    va = synth_toydata(4, max_len=3, seed=2)
+    recipe = _tiny_recipe(batch_size=2, iterations=10, val_interval=1)
+    model = assemble(cfg)
+    initial = model.snapshot()
+    with pytest.raises(FloatingPointError, match="step 3"):
+        train(model, recipe, tr, va)
+    ref = train(assemble(cfg), _tiny_recipe(batch_size=2, iterations=2, val_interval=1),
+                tr, va)
+    after = model.snapshot()
+    assert all(np.array_equal(after[k], v) for k, v in ref.best_params.items())
+    assert not all(np.array_equal(after[k], v) for k, v in initial.items())
 
 
 def test_training_determinism_bit_identical():
@@ -375,17 +411,3 @@ def test_training_determinism_bit_identical():
     for k in snap1:
         assert np.array_equal(snap1[k], snap2[k])
 
-
-# ---------------------------------------------------------------------------
-# preprocessing
-# ---------------------------------------------------------------------------
-
-
-def test_preprocess_shapes_and_range():
-    img = np.random.default_rng(0).integers(0, 256, size=(48, 160, 3))
-    out = preprocess(img)
-    assert out.shape == (1, 32, 100)
-    assert out.min() >= -1.0 and out.max() <= 1.0
-    # grayscale float input also accepted
-    out2 = preprocess(np.zeros((32, 100)))
-    assert np.allclose(out2, -1.0)

@@ -15,9 +15,9 @@ from strforge.predict import (
     collapse,
     ctc_brute_force,
     ctc_greedy_decode,
-    ctc_log_prob,
     ctc_log_prob_batch,
-    ctc_loss,
+    ctc_loss_batch,
+    encode_for,
 )
 from strforge.tensor import Tensor, grad_check, log_softmax, softmax
 
@@ -29,6 +29,12 @@ def log_uniform(t, c):
 def rand_posterior(t, c, seed):
     logits = np.random.default_rng(seed).normal(size=(t, c))
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+def ctc_log_prob(h, y):
+    """log p(y | h) for one (T, C) posterior, run as a batch of one."""
+    h = np.asarray(h)
+    return ctc_log_prob_batch(Tensor(h[None]), [encode_for(h.shape[1], y)])[0]
 
 
 class TestCodec:
@@ -103,21 +109,27 @@ class TestCtc:
     def test_out_of_alphabet_label(self):
         with pytest.raises(CodecError):
             ctc_log_prob(log_uniform(3, 37), "A!")
+        with pytest.raises(CodecError):
+            ctc_log_prob(log_uniform(3, 3), "c")  # restricted alphabet "ab"
 
     def test_loss_is_negative_log_prob(self):
-        h = rand_posterior(4, 37, 12)
-        assert np.isclose(ctc_loss(h, "ab").item(),
-                          -ctc_log_prob(h, "ab").item())
+        h = np.stack([rand_posterior(4, 37, 12), rand_posterior(4, 37, 13)])
+        labels = [CODEC.encode("ab"), CODEC.encode("c")]
+        assert np.isclose(ctc_loss_batch(Tensor(h[:1]), labels[:1]).item(),
+                          -ctc_log_prob(h[0], "ab").item())
+        assert np.isclose(ctc_loss_batch(Tensor(h), labels).item(),
+                          -ctc_log_prob_batch(Tensor(h), labels).data.mean())
 
     def test_loss_gradient(self):
-        logits = Tensor(np.random.default_rng(13).normal(size=(5, 37)),
+        logits = Tensor(np.random.default_rng(13).normal(size=(1, 5, 37)),
                         requires_grad=True)
-        res = grad_check(lambda x: ctc_loss(log_softmax(x, axis=1), "a1b"),
+        res = grad_check(lambda x: ctc_loss_batch(log_softmax(x, axis=2),
+                                                  [CODEC.encode("a1b")]),
                          [logits])
         assert res["passed"], res
 
     def test_batch_matches_singles(self):
-        rng = np.random.default_rng(14)
+        # each row of a mixed-length (padded) batch equals its batch-of-one run
         data = np.stack([rand_posterior(5, 37, i) for i in range(3)])
         labels = ["ab", "a", "0z1"]
         batched = ctc_log_prob_batch(Tensor(data),
@@ -125,6 +137,27 @@ class TestCtc:
         for i, s in enumerate(labels):
             assert np.isclose(batched.data[i],
                               ctc_log_prob(data[i], s).item(), atol=1e-12)
+
+    @given(st.integers(1, 8), st.lists(st.text(alphabet="ab", max_size=6),
+                                       min_size=1, max_size=4),
+           st.integers(0, 1 << 16))
+    @settings(max_examples=60, deadline=None)
+    def test_infeasible_labels_get_zero_loss(self, t, labels, seed):
+        # A label needs L + (adjacent repeats) frames; one that does not fit
+        # gets log-prob -inf, and the batch loss drops it but keeps dividing by B.
+        h = Tensor(np.stack([rand_posterior(t, 3, seed + i) for i in range(len(labels))]),
+                   requires_grad=True)
+        encoded = [encode_for(3, y) for y in labels]
+        logp = ctc_log_prob_batch(h, encoded).data
+        for y, lp in zip(labels, logp):
+            repeats = sum(a == b for a, b in zip(y, y[1:]))
+            assert (lp == -np.inf) == (len(y) + repeats > t)
+        loss = ctc_loss_batch(h, encoded)
+        feasible = logp[logp != -np.inf]
+        assert np.isclose(loss.item(), -feasible.sum() / len(labels), rtol=1e-12, atol=1e-12)
+        loss.backward()
+        assert np.all(np.isfinite(h.grad))
+        assert np.all(h.grad[logp == -np.inf] == 0.0)
 
     def test_brute_force_guards(self):
         with pytest.raises(ValueError):

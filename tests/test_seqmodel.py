@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strforge.seqmodel import BiLSTMLayer, BiLSTMStack, identity_seq
-from strforge.tensor import ShapeError, Tensor, lstm_cell, matmul
+from strforge.pipeline import PipelineConfig, assemble
+from strforge.seqmodel import BiLSTMLayer, BiLSTMStack
+from strforge.tensor import ShapeError, Tensor, lstm_cell
 
 
 def filled_layer(seed, input_size=8, hidden=4, out=4):
@@ -49,51 +50,55 @@ class TestBiLSTM:
         layer = filled_layer(1)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 1, 8)))
         steps = [x[:, 0, :]]
-        out = layer.forward_steps(steps)[0]
+        out = layer.forward(x)
+        assert out.shape == (2, 1, 4)
         hf = run_one_direction(layer.fwd, steps)[0]
         hb = run_one_direction(layer.bwd, steps)[0]
         manual = np.concatenate([hf, hb], axis=1) @ layer.fc_w.data.T + layer.fc_b.data
-        assert np.allclose(out.data, manual)
+        assert np.allclose(out.data[:, 0], manual)
 
     def test_direction_decomposition_oracle(self):
+        # the layer equals the two manual direction runs, concatenated, then projected
         layer = filled_layer(3)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 8)))
         steps = [x[:, i, :] for i in range(3)]
-        states = layer.concat_states(steps)
+        out = layer.forward(x)
         hf = run_one_direction(layer.fwd, steps)
         hb = run_one_direction(layer.bwd, steps[::-1])[::-1]
         for i in range(3):
-            assert np.allclose(states[i].data,
-                               np.concatenate([hf[i], hb[i]], axis=1))
+            manual = (np.concatenate([hf[i], hb[i]], axis=1) @ layer.fc_w.data.T
+                      + layer.fc_b.data)
+            assert np.allclose(out.data[:, i], manual)
 
     @given(st.integers(1, 4), st.integers(0, 50))
     @settings(max_examples=25, deadline=None)
     def test_direction_symmetry(self, seq_len, seed):
+        # swapping the directions and the halves of fc_w, then reversing the
+        # input, reverses the output
         layer = filled_layer(seed)
         swapped = filled_layer(seed)
         for attr in ("w_ih", "w_hh", "bias"):
             getattr(swapped.fwd, attr).data[...] = getattr(layer.bwd, attr).data
             getattr(swapped.bwd, attr).data[...] = getattr(layer.fwd, attr).data
-        x = Tensor(np.random.default_rng(seed + 1000).normal(size=(2, seq_len, 8)))
-        steps = [x[:, i, :] for i in range(seq_len)]
-        states = layer.concat_states(steps)
-        rev = swapped.concat_states(steps[::-1])
         hidden = layer.fwd.hidden_size
-        for i in range(seq_len):
-            flipped = np.concatenate([rev[seq_len - 1 - i].data[:, hidden:],
-                                      rev[seq_len - 1 - i].data[:, :hidden]], axis=1)
-            assert np.allclose(states[i].data, flipped, atol=1e-12)
+        swapped.fc_w.data[...] = np.concatenate([layer.fc_w.data[:, hidden:],
+                                                 layer.fc_w.data[:, :hidden]], axis=1)
+        x = np.random.default_rng(seed + 1000).normal(size=(2, seq_len, 8))
+        out = layer.forward(Tensor(x)).data
+        rev = swapped.forward(Tensor(x[:, ::-1].copy())).data
+        assert np.allclose(out, rev[:, ::-1], atol=1e-12)
 
     def test_param_count_within_10pct_of_2_7m(self):
         n = BiLSTMStack().param_element_count()
         assert abs(n - 2.7e6) / 2.7e6 < 0.10
 
-    def test_project_last_false_widens_output(self):
-        stack = BiLSTMStack(input_size=8, hidden_size=4, output_size=4,
-                            project_last=False, dtype=np.float64)
-        x = Tensor(np.random.default_rng(5).normal(size=(2, 3, 8)))
-        assert stack.forward(x).shape == (2, 3, 8)
-
     def test_identity_seq(self):
-        x = Tensor(np.arange(12.0).reshape(1, 3, 4))
-        assert identity_seq(x) is x
+        # the "None" sequence option is no module: features pass through as V
+        model = assemble(PipelineConfig.from_string("None-VGG-None-CTC", scale=0.125),
+                         dtype=np.float64)
+        assert model.seq is None
+        x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 32, 100)))
+        v = model.feat.forward(x, "train").data
+        b, c, _, w = v.shape
+        assert np.array_equal(model.features(x, "train").data,
+                              v.reshape(b, c, w).transpose(0, 2, 1))

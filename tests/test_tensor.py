@@ -97,9 +97,11 @@ class TestAutodiffBasics:
         assert np.allclose(x.grad, 1.0)
 
     def test_max_first_index_tiebreak(self):
-        x = Tensor(np.array([[1.0, 1.0, 0.0]]), requires_grad=True)
-        x.max(axis=1).sum().backward()
-        assert np.allclose(x.grad, [[1.0, 0.0, 0.0]])
+        # maxpool2d is the engine's max: a tied window routes its gradient to
+        # the first maximal index in row-major order
+        x = Tensor(np.array([[[[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]]]), requires_grad=True)
+        tc.maxpool2d(x, (2, 3)).sum().backward()
+        assert np.allclose(x.grad, [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]])
 
     def test_logsumexp_neg_inf_safe(self):
         x = Tensor(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]),
@@ -281,6 +283,15 @@ class TestCheckpoint:
         assert extra["note"] == "x"
         for name, p in params.items():
             assert loaded[name].tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("cut, extra", [(0, 64), (4, 0)])
+    def test_payload_length_must_match_header(self, tmp_path, cut, extra):
+        path = tmp_path / "ck.bin"
+        ckpt.save_params(path, {"a": np.ones((2, 3), dtype=np.float32)})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) - cut] + bytes(extra))
+        with pytest.raises(ValueError, match="payload"):
+            ckpt.load_params(path)
 
     def test_magic_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"

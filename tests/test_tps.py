@@ -4,9 +4,9 @@ import pytest
 from strforge.tensor import Tensor
 from strforge.tps import (
     DegenerateFiducialsError,
+    DeltaFactorization,
     TpsTransformer,
     base_fiducials,
-    build_delta,
     generate_grid,
     solve_transform,
     warp_points,
@@ -29,7 +29,7 @@ class TestBaseLayout:
 class TestSolve:
     def test_identity_grid_exact(self):
         base = base_fiducials(20)
-        delta = build_delta(base)
+        delta = DeltaFactorization(base)
         t = solve_transform(base, delta)
         grid = generate_grid(t, delta, 32, 100)
         assert np.abs(grid.source - grid.target).max() < 1e-9
@@ -37,7 +37,7 @@ class TestSolve:
     def test_interpolation_property_100_seeds(self):
         for f in (6, 20):
             base = base_fiducials(f)
-            delta = build_delta(base)
+            delta = DeltaFactorization(base)
             for seed in range(100):
                 rng = np.random.default_rng(seed)
                 pred = base + rng.normal(0, 0.15, base.shape)
@@ -47,7 +47,7 @@ class TestSolve:
 
     def test_affine_subsumption(self):
         base = base_fiducials(8)
-        delta = build_delta(base)
+        delta = DeltaFactorization(base)
         a = np.array([[0.8, 0.1], [-0.05, 1.1]])
         b = np.array([[0.02], [-0.3]])
         pred = a @ base + b
@@ -59,12 +59,12 @@ class TestSolve:
     def test_degenerate_base_raises(self):
         pts = np.zeros((2, 6))  # all coincident
         with pytest.raises(DegenerateFiducialsError):
-            build_delta(pts)
+            DeltaFactorization(pts)
 
     def test_radial_kernel_convention(self):
         # d^2 ln d at d=0 is defined as 0: identical points give zero entries.
         base = base_fiducials(4)
-        delta = build_delta(base)
+        delta = DeltaFactorization(base)
         f = 4
         assert np.allclose(np.diag(delta.delta[:f, 3:]), 0.0)
 
@@ -81,7 +81,7 @@ class TestTransformer:
 
     def test_grid_json_round_trip(self):
         base = base_fiducials(6)
-        delta = build_delta(base)
+        delta = DeltaFactorization(base)
         grid = generate_grid(solve_transform(base, delta), delta, 4, 5)
         d = grid.to_json_dict()
         assert d["height"] == 4 and d["width"] == 5
