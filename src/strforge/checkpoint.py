@@ -2,12 +2,14 @@
 
 Layout: 8-byte magic, little-endian uint32 header length, UTF-8 JSON header,
 then the payload of little-endian 32-bit floats. The header maps each
-parameter name to its shape and byte offset within the payload.
+parameter name to its shape and byte offset within the payload, and records
+the payload's CRC-32.
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 
 import numpy as np
 
@@ -18,7 +20,7 @@ def save_params(path, params, extra=None):
     """Write named arrays to `path` as float32. `extra` lands in the header."""
     names = list(params)
     entries = {}
-    offset = 0
+    offset = crc = 0
     blobs = []
     for name in names:
         data = params[name]
@@ -27,7 +29,8 @@ def save_params(path, params, extra=None):
         entries[name] = {"shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
         blobs.append(arr.tobytes())
-    header = {"params": entries}
+        crc = zlib.crc32(blobs[-1], crc)
+    header = {"params": entries, "crc32": crc}
     if extra:
         header["extra"] = extra
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -52,6 +55,9 @@ def load_params(path):
     if len(payload) != expected:
         raise ValueError(f"payload is {len(payload)} bytes; the header's arrays "
                          f"take {expected}")
+    crc = zlib.crc32(payload)
+    if crc != header.get("crc32"):
+        raise ValueError(f"payload CRC-32 {crc} differs from the header's {header.get('crc32')}")
     out = {}
     for name, entry in header["params"].items():
         shape = tuple(entry["shape"])

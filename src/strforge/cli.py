@@ -204,7 +204,7 @@ def cmd_audit(args):
     _prep_out(args)
     train_m = Manifest.load(args.train_manifest)
     eval_m = Manifest.load(args.eval_manifest)
-    report, clean = dedupe_scan(train_m, eval_m, emit_clean=True)
+    report, clean = dedupe_scan(train_m, eval_m)
     out = report.to_json_dict()
     if args.emit_clean:
         clean_path = os.path.join(args.out, "train_clean.jsonl")

@@ -205,13 +205,13 @@ class DedupeReport:
         return out
 
 
-def dedupe_scan(train: Manifest, eval_m: Manifest, emit_clean: bool = False):
+def dedupe_scan(train: Manifest, eval_m: Manifest):
     """Find evaluation material leaking into a training manifest.
 
     Matches word boxes by content digest when both sides carry one, else by
     the (scene identifier, label) pair — the latter is heuristic and flagged.
-    Counting is symmetric in the two arguments. With ``emit_clean`` the train
-    manifest with duplicates removed is returned alongside the report.
+    Counting is symmetric in the two arguments. Returns the report and the
+    train manifest with the duplicates removed.
     """
     eval_digests = {e.digest for e in eval_m if e.digest}
     eval_pairs = {(e.scene, e.label) for e in eval_m if not e.digest and e.scene}
@@ -229,11 +229,8 @@ def dedupe_scan(train: Manifest, eval_m: Manifest, emit_clean: bool = False):
     report = DedupeReport(duplicate_scenes=len(scenes),
                           duplicate_boxes=len(dup_entries),
                           by_digest=by_digest, by_scene_label=by_pair)
-    if emit_clean:
-        dropped = {e.image for e in dup_entries}
-        clean = Manifest([e for e in train if e.image not in dropped])
-        return report, clean
-    return report
+    dropped = {e.image for e in dup_entries}
+    return report, Manifest([e for e in train if e.image not in dropped])
 
 
 @dataclass

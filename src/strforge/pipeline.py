@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .arch import BUILDERS
-from .evalkit import normalize_label
+from .evalkit import word_accuracy
 from .predict import (
     NUM_CLASSES,
     AttnDecoder,
@@ -409,9 +409,7 @@ def validate(model: Model, images, labels, batch_size: int = 64) -> float:
     preds = []
     for s in range(0, n, batch_size):
         preds += model.decode(Tensor(np.asarray(images[s:s + batch_size], dtype=model.dtype)))
-    hits = sum(normalize_label(p) == normalize_label(g)
-               for p, g in zip(preds, labels))
-    return 100.0 * hits / max(n, 1)
+    return word_accuracy(preds, labels)
 
 
 def _training_indices(n: int, fraction: float, seed: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     concat,
-    gather_rows,
     log_softmax,
     logsumexp,
     lstm_cell,
@@ -118,7 +117,7 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
     """Batched alpha recursion: (B, T, C) log-probs, list of B index arrays -> (B,).
 
     Runs all samples in lock-step over a padded extended-label axis; fully
-    differentiable through gather and log-sum-exp primitives. Every constant is
+    differentiable through indexing and log-sum-exp primitives. Every constant is
     built in ``h``'s dtype, so the recursion computes in that dtype.
     """
     if h.ndim != 3:
@@ -159,22 +158,18 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
     init_mask[:, 0] = 0.0
     if smax > 1:
         init_mask[:, 1] = 0.0
-    emit = _gather_frames(h, 0, z)
-    alpha = emit + Tensor(init_mask + valid)
+    rows = np.arange(batch)[:, None]
+    alpha = h[rows, 0, z] + Tensor(init_mask + valid)
 
     for t in range(1, steps):
         stay = alpha
         step1 = shifted(alpha, 1)
         step2 = shifted(alpha, 2) + Tensor(skip)
         trans = logsumexp(stack([stay, step1, step2], axis=0), axis=0)
-        alpha = trans + _gather_frames(h, t, z) + Tensor(valid)
+        alpha = trans + h[rows, t, z] + Tensor(valid)
 
-    finals = gather_rows(alpha, end_idx) + Tensor(end_mask)  # (B, 2)
+    finals = alpha[rows, end_idx] + Tensor(end_mask)  # (B, 2)
     return logsumexp(finals, axis=1)
-
-
-def _gather_frames(h: Tensor, t: int, z: np.ndarray) -> Tensor:
-    return gather_rows(h[:, t, :], z)
 
 
 def ctc_loss_batch(h: Tensor, labels) -> Tensor:

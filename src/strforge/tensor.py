@@ -7,8 +7,9 @@ dtype; integer data becomes float64. ``grad_check`` takes float64 tensors
 only, so that finite differences are meaningful. A tensor records the
 operation that produced it (parents + backward closure); calling ``backward``
 on a scalar walks the graph once in reverse topological order and
-accumulates gradients additively into every reachable tensor with
-``requires_grad`` set.
+accumulates gradients additively into the leaves it reaches (tensors no op
+produced, such as parameters, with ``requires_grad`` set). A graph serves one
+backward: each node releases its parents and closure once its closure has run.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _freed(g):
+    raise RuntimeError("backward through a graph that an earlier backward already used")
 
 
 class Tensor:
@@ -102,16 +107,13 @@ class Tensor:
             out._backward = None
         return out
 
-    def _accumulate(self, grad):
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad = self.grad + grad
-
     def backward(self, grad=None):
-        """Populate grads of every reachable requires_grad tensor.
+        """Accumulate gradients into every leaf this tensor's graph reaches.
 
-        Gradients accumulate across calls; reset with ``zero_grad``.
+        Only leaves receive ``.grad``; it accumulates across graphs until
+        ``zero_grad``. The graph serves this one backward: each node drops its
+        parents and closure once its closure has run, so a second backward
+        through it raises.
         """
         if grad is None:
             if self.size != 1:
@@ -137,16 +139,15 @@ class Tensor:
                     stack.append((p, False))
 
         grads = {id(self): grad}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
+        while order:
+            node = order.pop()
+            g = grads.pop(id(node))
+            backward, parents = node._backward, node._parents
+            if backward is None:  # a leaf
+                node.grad = np.array(g, dtype=node.dtype) if node.grad is None else node.grad + g
                 continue
-            if node._backward is None:
-                node._accumulate(g)
-                continue
-            node.grad = g if node.grad is None else node.grad + g
-            parent_grads = node._backward(g)
-            for p, pg in zip(node._parents, parent_grads):
+            node._parents, node._backward = (), _freed
+            for p, pg in zip(parents, backward(g)):
                 if pg is None or not p.requires_grad:
                     continue
                 if id(p) in grads:
@@ -171,8 +172,6 @@ class Tensor:
 
         return Tensor._make(out_data, (a, b), backward)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = self._coerce(other)
         a, b = self, other
@@ -182,8 +181,6 @@ class Tensor:
             return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
         return Tensor._make(out_data, (a, b), backward)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         a = self
@@ -196,45 +193,11 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        out_data = a.data / b.data
-
-        def backward(g):
-            ga = _unbroadcast(g / b.data, a.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-            return ga, gb
-
-        return Tensor._make(out_data, (a, b), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents supported")
-        a = self
-        out_data = a.data ** exponent
-
-        def backward(g):
-            return (g * exponent * a.data ** (exponent - 1),)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
-        out_data = a.data.reshape(shape)
+        out_data = a.data.reshape(*shape)
 
         def backward(g):
             return (g.reshape(a.shape),)
@@ -242,10 +205,7 @@ class Tensor:
         return Tensor._make(out_data, (a,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
+        axes = axes or tuple(reversed(range(self.ndim)))
         a = self
         inv = np.argsort(axes)
         out_data = a.data.transpose(axes)
@@ -303,36 +263,16 @@ class Tensor:
 
         return Tensor._make(out_data, (a,), backward)
 
-    def log(self):
-        a = self
-        out_data = np.log(a.data)
-
-        def backward(g):
-            return (g / a.data,)
-
-        return Tensor._make(out_data, (a,), backward)
-
-    def sqrt(self):
-        return self ** 0.5
-
 
 # -- linear algebra ------------------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+    if b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
-        if b.ndim == 1:
-            ga = np.outer(g, b.data) if a.ndim == 2 else g[..., None] * b.data
-            gb = a.data.T @ g if a.ndim == 2 else _unbroadcast(g[..., None] * a.data, b.shape)
-            return _unbroadcast(ga, a.shape), gb
         ga = g @ np.swapaxes(b.data, -1, -2)
         gb = np.swapaxes(a.data, -1, -2) @ g
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
@@ -362,7 +302,8 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact limit 0
+        out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
         return (g * out_data * (1.0 - out_data),)
@@ -421,20 +362,6 @@ def stack(tensors, axis=0):
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b, s] = x[b, idx[b, s]] for a 2-D `x` and integer index matrix `idx`."""
-    idx = np.asarray(idx)
-    rows = np.arange(x.shape[0])[:, None]
-    out_data = x.data[rows, idx]
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, (np.broadcast_to(rows, idx.shape), idx), g)
-        return (full,)
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 # -- convolution / pooling -------------------------------------------------------
@@ -562,11 +489,6 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
         return (gx,)
 
     return Tensor._make(np.ascontiguousarray(out_data), (x,), backward)
-
-
-def adaptive_avg_pool(x: Tensor) -> Tensor:
-    """Per-channel mean over all spatial positions: (..., C, H, W) -> (..., C)."""
-    return x.mean(axis=(-2, -1))
 
 
 # -- batch normalization ---------------------------------------------------------

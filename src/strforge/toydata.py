@@ -77,10 +77,6 @@ class ToyDataset:
     def __len__(self):
         return self.images.shape[0]
 
-    def subset(self, indices):
-        idx = np.asarray(indices)
-        return ToyDataset(self.images[idx], [self.labels[int(i)] for i in idx])
-
 
 def render_word(word: str, rng: np.random.Generator, noise: float = 0.05) -> np.ndarray:
     """Render one word to a (1, 32, 100) array in [-1, 1]."""

@@ -123,14 +123,6 @@ class WarpGrid:
         self.height = height
         self.width = width
 
-    @property
-    def num_points(self):
-        return self.target.shape[1]
-
-    def source_image_grid(self):
-        """Source coordinates as an (H, W, 2) array of (x, y) pairs."""
-        return self.source.T.reshape(self.height, self.width, 2)
-
     def to_json_dict(self):
         return {
             "height": self.height,

@@ -381,7 +381,7 @@ def test_criterion_8_evaluation_protocol():
             eval_e.append(Entry(image=f"e{k}", label=f"w{k}",
                                 dataset="IC03", scene=f"sc{s}"))
             k += 1
-    report = dedupe_scan(Manifest(train_e), Manifest(eval_e))
+    report, _ = dedupe_scan(Manifest(train_e), Manifest(eval_e))
     assert (report.duplicate_scenes, report.duplicate_boxes) == (34, 215)
 
 

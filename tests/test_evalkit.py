@@ -102,15 +102,17 @@ class TestDedupe:
     def test_disjoint(self):
         a = man(["abc", "def"], prefix="a")
         b = man(["ghi"], prefix="b", scene_of=lambda i: f"t{i}")
-        rep = dedupe_scan(a, b)
+        rep, clean = dedupe_scan(a, b)
         assert rep.duplicate_scenes == 0 and rep.duplicate_boxes == 0
+        assert clean.entries == a.entries
 
     def test_single_shared_digest(self):
         a = man(["abc"], prefix="a", digest_of=lambda i: "d0")
         b = man(["zzz"], prefix="b", digest_of=lambda i: "d0")
-        rep = dedupe_scan(a, b)
+        rep, clean = dedupe_scan(a, b)
         assert rep.duplicate_scenes == 1 and rep.duplicate_boxes == 1
         assert rep.by_digest == 1
+        assert len(clean) == 0
 
     def test_34_scenes_215_boxes_fixture(self):
         # 34 shared scenes holding 215 shared word boxes, plus clean filler
@@ -128,15 +130,16 @@ class TestDedupe:
             train_entries.append(Entry(image=f"trx{i}", label=f"u{i}",
                                        dataset="IC03", scene=f"trainonly{i}"))
         train_m, eval_m = Manifest(train_entries), Manifest(eval_entries)
-        rep = dedupe_scan(train_m, eval_m)
+        rep, clean = dedupe_scan(train_m, eval_m)
         assert (rep.duplicate_scenes, rep.duplicate_boxes) == (34, 215)
-        swapped = dedupe_scan(eval_m, train_m)
+        assert len(clean) == 100
+        swapped, _ = dedupe_scan(eval_m, train_m)
         assert (swapped.duplicate_scenes, swapped.duplicate_boxes) == (34, 215)
 
     def test_emit_clean_removes_duplicates(self):
         a = man(["abc", "def"], prefix="a", digest_of=lambda i: f"d{i}")
         b = man(["xyz"], prefix="b", digest_of=lambda i: "d0")
-        rep, clean = dedupe_scan(a, b, emit_clean=True)
+        rep, clean = dedupe_scan(a, b)
         assert len(clean) == 1 and clean.entries[0].label == "def"
 
 

@@ -1,3 +1,6 @@
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,12 +79,21 @@ class TestAutodiffBasics:
         (y + y).sum().backward()
         assert np.allclose(x.grad, 6.0)
 
-    def test_intermediates_receive_grad(self):
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        mid = x * 4.0
-        mid.sum().backward()
-        assert mid.grad is not None
-        assert np.allclose(mid.grad, 1.0)
+    def test_backward_frees_the_graph_and_fills_only_leaves(self):
+        x = Tensor(rand((3, 4), 1), requires_grad=True)
+        kept = x * 2.0
+        dropped = tc.tanh(kept)
+        freed = weakref.ref(dropped.data)
+        loss = (dropped * dropped).sum()
+        del dropped
+        assert freed() is not None  # the graph holds the activation until backward
+        loss.backward()
+        assert freed() is None
+        assert kept.grad is None and loss.grad is None
+        t = np.tanh(2.0 * x.data)
+        assert np.allclose(x.grad, 4.0 * t * (1.0 - t * t))
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            loss.backward()
 
     def test_matmul_grad_check(self):
         a = Tensor(rand((3, 5), 3), requires_grad=True)
@@ -261,13 +273,24 @@ class TestNNOps:
         grid = Tensor(np.full((1, 1, 1, 2), 5.0))
         assert np.allclose(tc.bilinear_sample(x, grid).data, 0.0)
 
-    def test_gather_rows(self):
+    def test_index_arrays_gather_rows(self):
+        # x[rows, idx] is the CTC recursion's per-row gather; an index repeated
+        # within a row receives the sum of its gradients
         x = Tensor(rand((2, 5), 11), requires_grad=True)
         idx = np.array([[0, 0, 4], [1, 2, 3]])
-        out = tc.gather_rows(x, idx)
-        assert np.allclose(out.data[0], x.data[0, [0, 0, 4]])
+        out = x[np.arange(2)[:, None], idx]
+        assert np.array_equal(out.data, [x.data[0, [0, 0, 4]], x.data[1, [1, 2, 3]]])
         out.sum().backward()
-        assert np.isclose(x.grad[0, 0], 2.0)
+        assert np.array_equal(x.grad, [[2.0, 0, 0, 0, 1], [0, 1, 1, 1, 0]])
+
+    def test_sigmoid_saturates_without_overflow(self):
+        x = Tensor(np.float32([-1000, 0, 1000]), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = tc.sigmoid(x)
+            out.sum().backward()
+        assert np.array_equal(out.data, np.float32([0, 0.5, 1]))
+        assert np.all(np.isfinite(x.grad))
 
 
 class TestCheckpoint:
@@ -290,7 +313,16 @@ class TestCheckpoint:
         ckpt.save_params(path, {"a": np.ones((2, 3), dtype=np.float32)})
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - cut] + bytes(extra))
-        with pytest.raises(ValueError, match="payload"):
+        with pytest.raises(ValueError, match="the header's arrays"):
+            ckpt.load_params(path)
+
+    def test_flipped_payload_byte_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        ckpt.save_params(path, {"a": np.ones((2, 3), dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="CRC-32"):
             ckpt.load_params(path)
 
     def test_magic_rejects_garbage(self, tmp_path):
