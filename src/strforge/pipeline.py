@@ -382,6 +382,11 @@ class TrainRecipe:
     seed: int = 0
     stop_accuracy: float = None  # early stop once val accuracy reaches this
 
+    def __post_init__(self):
+        for name in ("batch_size", "iterations", "val_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class TrainResult:

@@ -3,10 +3,11 @@
 The label codec covers the 36 case-folded alphanumerics; index 36 is the
 special class — blank for CTC, end-of-sequence for attention. CTC marginal
 probabilities are computed by the forward (alpha) dynamic program over the
-blank-interleaved label, entirely in log space and built from differentiable
-primitives, so ``ctc_loss_batch`` backpropagates into the frame log-probabilities.
-A brute-force path-enumeration oracle validates the recursion on small
-instances. Decoding is greedy for both heads; no beam search.
+blank-interleaved label, in log space, as one graph node whose backward is the
+closed-form alpha-beta occupation posterior, so ``ctc_loss_batch``
+backpropagates into the frame log-probabilities. A brute-force
+path-enumeration oracle validates the recursion on small instances. Decoding
+is greedy for both heads; no beam search.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from .tensor import (
     Tensor,
     concat,
     log_softmax,
-    logsumexp,
     lstm_cell,
     matmul,
     softmax,
-    stack,
     tanh,
 )
 
@@ -114,11 +113,16 @@ def _extended_label(y: np.ndarray, blank: int) -> np.ndarray:
 
 
 def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
-    """Batched alpha recursion: (B, T, C) log-probs, list of B index arrays -> (B,).
+    """Batched CTC log-likelihood: (B, T, C) log-probs, list of B index arrays -> (B,).
 
-    Runs all samples in lock-step over a padded extended-label axis; fully
-    differentiable through indexing and log-sum-exp primitives. Every constant is
-    built in ``h``'s dtype, so the recursion computes in that dtype.
+    One graph node. The forward runs the alpha recursion over the
+    blank-interleaved labels, padded to a common length, in log space; it also
+    runs the beta recursion, so that the backward is the closed-form occupation
+    posterior (Graves et al. 2006): d log p / d h[t, k] is the sum, over the
+    label slots s holding class k, of exp(alpha_t(s) + beta_t(s) - log p), with
+    beta_t(s) the log-probability of frames t+1.. from slot s at frame t.
+    Infeasible rows (log p = -inf) and the padding beyond each label get an
+    exactly-zero gradient. Everything computes in ``h``'s dtype.
     """
     if h.ndim != 3:
         raise ShapeError(f"expected (B, T, C) frame log-probabilities, got {h.shape}")
@@ -132,8 +136,8 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
 
     z = np.full((batch, smax), blank, dtype=np.int64)
     valid = np.full((batch, smax), NEG_INF, dtype=dtype)  # 0 inside each label, -inf beyond
-    skip = np.full((batch, smax), NEG_INF, dtype=dtype)   # 0 where the s-2 transition is legal
-    end_idx = np.zeros((batch, 2), dtype=np.int64)  # final-blank / final-symbol slots
+    skip = np.full((batch, smax), NEG_INF, dtype=dtype)   # 0 where the s-2 -> s transition is legal
+    final = np.full((batch, smax), NEG_INF, dtype=dtype)  # 0 at the two terminal slots
     for b, zb in enumerate(exts):
         s = len(zb)
         z[b, :s] = zb
@@ -141,35 +145,43 @@ def ctc_log_prob_batch(h: Tensor, labels) -> Tensor:
         for j in range(2, s):
             if zb[j] != blank and zb[j] != zb[j - 2]:
                 skip[b, j] = 0.0
-        end_idx[b] = (s - 1, max(s - 2, 0))
-    # A length-1 extended label has no second terminal slot; mask it out.
-    end_mask = np.zeros((batch, 2), dtype=dtype)
-    end_mask[end_idx[:, 1] == end_idx[:, 0], 1] = NEG_INF
+        final[b, max(s - 2, 0):s] = 0.0
+    skip_next = np.full((batch, smax), NEG_INF, dtype=dtype)  # legality of s -> s+2
+    skip_next[:, :-2] = skip[:, 2:]
 
-    ninf_col = Tensor(np.full((batch, 1), NEG_INF, dtype=dtype))
-
-    def shifted(a, by):
-        if smax <= by:
-            return Tensor(np.full((batch, smax), NEG_INF, dtype=dtype))
-        return concat([ninf_col] * by + [a[:, :smax - by]], axis=1)
-
-    # alpha_1: only the first blank and first symbol are reachable.
-    init_mask = np.full((batch, smax), NEG_INF, dtype=dtype)
-    init_mask[:, 0] = 0.0
-    if smax > 1:
-        init_mask[:, 1] = 0.0
+    # Slot s lives in column s + 2 of a (T, B, S + 4) buffer whose two columns
+    # of -inf padding on each side stand for the slots s-2, s-1, s+1, s+2 that
+    # do not exist; np.logaddexp keeps -inf exact without warnings. It warns on
+    # NaN, so a row with a NaN emission runs on -inf and reports NaN at the end.
     rows = np.arange(batch)[:, None]
-    alpha = h[rows, 0, z] + Tensor(init_mask + valid)
-
+    emissions = h.data.transpose(1, 0, 2)[:, rows, z] + valid
+    nan_rows = np.isnan(emissions).any(axis=(0, 2))
+    emit = np.full((steps, batch, smax + 4), NEG_INF, dtype=dtype)
+    emit[:, :, 2:-2] = np.where(nan_rows[:, None], NEG_INF, emissions)
+    alpha = np.full_like(emit, NEG_INF)
+    alpha[0, :, 2:4] = emit[0, :, 2:4]  # only the first blank and first symbol start
     for t in range(1, steps):
-        stay = alpha
-        step1 = shifted(alpha, 1)
-        step2 = shifted(alpha, 2) + Tensor(skip)
-        trans = logsumexp(stack([stay, step1, step2], axis=0), axis=0)
-        alpha = trans + h[rows, t, z] + Tensor(valid)
+        a = alpha[t - 1]
+        trans = np.logaddexp(np.logaddexp(a[:, 2:-2], a[:, 1:-3]), a[:, :-4] + skip)
+        alpha[t, :, 2:-2] = trans + emit[t, :, 2:-2]
+    beta = np.full_like(emit, NEG_INF)
+    beta[-1, :, 2:-2] = final
+    for t in range(steps - 2, -1, -1):
+        n = beta[t + 1] + emit[t + 1]
+        beta[t, :, 2:-2] = np.logaddexp(np.logaddexp(n[:, 2:-2], n[:, 3:-1]), n[:, 4:] + skip_next)
+    logp = np.logaddexp.reduce(alpha[-1, :, 2:-2] + final, axis=1)
+    logp[nan_rows] = np.nan
 
-    finals = alpha[rows, end_idx] + Tensor(end_mask)  # (B, 2)
-    return logsumexp(finals, axis=1)
+    def backward(g):
+        # An infeasible row has alpha + beta = -inf everywhere; shifting it by
+        # +inf instead of its log p keeps exp() at an exact 0 without a NaN.
+        shift = np.where(logp == NEG_INF, np.inf, logp)[:, None]
+        post = np.exp(alpha[:, :, 2:-2] + beta[:, :, 2:-2] - shift)  # (T, B, S)
+        onehot = np.zeros((batch, smax, classes), dtype=dtype)
+        onehot[rows, np.arange(smax), z] = 1.0
+        return (np.matmul(post.transpose(1, 0, 2), onehot) * g[:, None, None],)
+
+    return Tensor._make(logp, (h,), backward)
 
 
 def ctc_loss_batch(h: Tensor, labels) -> Tensor:

@@ -2,10 +2,11 @@
 
 Features arrive as a (B, I, D) tensor — I per-image steps of width D. Each
 BiLSTM layer runs one LSTM left-to-right and an independent LSTM over the
-reversed sequence, concatenates the two hidden states per step (2H wide), and
-projects through an FC layer back to the hidden width, after every layer
-including the last, so downstream predictors consume width-H vectors. The
-"None" sequence option is no module at all: the model passes V through.
+reversed sequence, each direction one ``lstm_sequence`` graph node. It
+concatenates the two hidden states per step (2H wide) and projects through an
+FC layer back to the hidden width, after every layer including the last, so
+downstream predictors consume width-H vectors. The "None" sequence option is
+no module at all: the model passes V through.
 
 Parameters are created zero-filled; initialization policy lives with the
 training pipeline.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, lstm_cell, matmul, stack
+from .tensor import ShapeError, Tensor, concat, lstm_sequence, matmul
 
 
 class _LstmDirection:
@@ -36,18 +37,6 @@ class _LstmDirection:
             f"{self.name}.w_hh": self.w_hh,
             f"{self.name}.bias": self.bias,
         }
-
-    def run(self, steps):
-        """Run over a list of (B, in) tensors; returns list of (B, H) states."""
-        batch = steps[0].shape[0]
-        dtype = self.w_ih.dtype
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype))
-        c = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype))
-        out = []
-        for x in steps:
-            h, c = lstm_cell(x, h, c, self.w_ih, self.w_hh, self.bias)
-            out.append(h)
-        return out
 
 
 class BiLSTMLayer:
@@ -72,9 +61,8 @@ class BiLSTMLayer:
     def forward(self, v: Tensor) -> Tensor:
         """(B, I, D) -> (B, I, out): both directions, then one FC matmul over B*I rows."""
         batch, nsteps, _ = v.shape
-        steps = [v[:, i, :] for i in range(nsteps)]
-        hf = stack(self.fwd.run(steps), axis=1)
-        hb = stack(self.bwd.run(steps[::-1])[::-1], axis=1)
+        hf = lstm_sequence(v, self.fwd.w_ih, self.fwd.w_hh, self.fwd.bias)
+        hb = lstm_sequence(v, self.bwd.w_ih, self.bwd.w_hh, self.bwd.bias, reverse=True)
         states = concat([hf, hb], axis=2).reshape(batch * nsteps, -1)  # forward half first
         out = matmul(states, self.fc_w.T) + self.fc_b
         return out.reshape(batch, nsteps, -1)

@@ -301,9 +301,13 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _sigmoid(z):
+    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the exact limit 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # exp(-x) -> inf gives the exact limit 0
-        out_data = 1.0 / (1.0 + np.exp(-x.data))
+    out_data = _sigmoid(x.data)
 
     def backward(g):
         return (g * out_data * (1.0 - out_data),)
@@ -349,17 +353,6 @@ def concat(tensors, axis=0):
 
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors, axis=0):
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in parts)
 
     return Tensor._make(out_data, tuple(tensors), backward)
 
@@ -594,6 +587,77 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_ih: Tensor, w_hh: Ten
     c = f * c_prev + i * g
     h = o * tanh(c)
     return h, c
+
+
+def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+                  reverse: bool = False) -> Tensor:
+    """The ``lstm_cell`` recurrence over a whole (B, T, in) sequence, as one node.
+
+    Starts from zero state and returns the (B, T, H) hidden states; with
+    `reverse` the recurrence runs from the last step to the first, and output
+    step t still belongs to input step t. The input projection of all steps is
+    one GEMM before the time loop. The backward runs BPTT into a buffer of
+    gate pre-activation gradients, then forms the input and weight gradients
+    with one GEMM each over all B*T rows.
+    """
+    if x.ndim != 3 or x.shape[2] != w_ih.shape[1]:
+        raise ShapeError(f"lstm_sequence expects (B, T, {w_ih.shape[1]}) input, got {x.shape}")
+    batch, steps, _ = x.shape
+    hid = w_hh.shape[1]
+    xs = x.data.transpose(1, 0, 2)  # time-major, in the order the recurrence runs
+    if reverse:
+        xs = xs[::-1]
+    x2 = np.ascontiguousarray(xs).reshape(steps * batch, -1)
+    # Pre-activations of every step, overwritten in place by the gate activations.
+    acts = (x2 @ w_ih.data.T + bias.data).reshape(steps, batch, 4 * hid)
+    dtype = acts.dtype
+    hs = np.zeros((steps + 1, batch, hid), dtype=dtype)  # hs[t + 1] is h_t; hs[0] = 0
+    cs = np.zeros((steps + 1, batch, hid), dtype=dtype)  # likewise c_t
+    tcs = np.empty((steps, batch, hid), dtype=dtype)     # tanh(c_t)
+    for t in range(steps):
+        a = acts[t]
+        a += hs[t] @ w_hh.data.T
+        g = np.tanh(a[:, 2 * hid:3 * hid])
+        a[...] = _sigmoid(a)  # i, f and o
+        a[:, 2 * hid:3 * hid] = g
+        np.multiply(a[:, hid:2 * hid], cs[t], out=cs[t + 1])
+        cs[t + 1] += a[:, :hid] * a[:, 2 * hid:3 * hid]
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(a[:, 3 * hid:], tcs[t], out=hs[t + 1])
+    out = hs[1:][::-1] if reverse else hs[1:]
+    out_data = np.ascontiguousarray(out.transpose(1, 0, 2))
+
+    def backward(g):
+        gt = g.transpose(1, 0, 2)
+        if reverse:
+            gt = gt[::-1]
+        deriv = acts * (1 - acts)  # sigmoid' for i, f, o
+        deriv[:, :, 2 * hid:3 * hid] = 1 - acts[:, :, 2 * hid:3 * hid] ** 2  # tanh' for g
+        dtanh_c = 1 - tcs * tcs
+        dgates = np.empty_like(acts)
+        dh = np.zeros((batch, hid), dtype=dtype)
+        dc = np.zeros((batch, hid), dtype=dtype)
+        for t in range(steps - 1, -1, -1):
+            a, d = acts[t], dgates[t]
+            dh += gt[t]
+            np.multiply(dh, tcs[t], out=d[:, 3 * hid:])  # o
+            dh *= a[:, 3 * hid:]
+            dh *= dtanh_c[t]
+            dc += dh
+            np.multiply(dc, a[:, 2 * hid:3 * hid], out=d[:, :hid])  # i
+            np.multiply(dc, cs[t], out=d[:, hid:2 * hid])  # f
+            np.multiply(dc, a[:, :hid], out=d[:, 2 * hid:3 * hid])  # g
+            d *= deriv[t]
+            dc *= a[:, hid:2 * hid]
+            dh = d @ w_hh.data
+        d2 = dgates.reshape(steps * batch, 4 * hid)
+        gx = (d2 @ w_ih.data).reshape(steps, batch, -1)
+        if reverse:
+            gx = gx[::-1]
+        return (gx.transpose(1, 0, 2), d2.T @ x2,
+                d2.T @ hs[:-1].reshape(steps * batch, hid), d2.sum(axis=0))
+
+    return Tensor._make(out_data, (x, w_ih, w_hh, bias), backward)
 
 
 # -- bilinear sampling -------------------------------------------------------------

@@ -35,7 +35,7 @@ def test_loss_and_backward_stay_in_model_dtype(name, dtype):
     data = synth_toydata(2, max_len=3, seed=0)
     loss = model.loss(Tensor(np.asarray(data.images, dtype=dtype)), data.labels)
     nodes = graph_nodes(loss)  # backward frees the graph, so walk it first
-    assert len(nodes) > 100
+    assert {id(p) for p in model.params().values()} <= {id(n) for n in nodes}
     assert {str(n.dtype) for n in nodes} == {np.dtype(dtype).name}
     emitted = []
 

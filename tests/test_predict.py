@@ -159,6 +159,21 @@ class TestCtc:
         assert np.all(np.isfinite(h.grad))
         assert np.all(h.grad[logp == -np.inf] == 0.0)
 
+    def test_closed_form_gradient_on_mixed_batch(self):
+        # one feasible label, one empty label, and "aa", which needs 3 frames of 2
+        labels = [encode_for(3, y) for y in ("ab", "", "aa")]
+        logits = np.random.default_rng(14).normal(size=(3, 2, 3))
+        h = Tensor(log_softmax(Tensor(logits), axis=2).data, requires_grad=True)
+        logp = ctc_log_prob_batch(h, labels)
+        assert np.isfinite(logp.data[:2]).all() and logp.data[2] == -np.inf
+        logp.backward(np.ones(3))
+        # occupation probabilities: at every frame they sum to 1 over classes
+        assert np.allclose(h.grad[:2].sum(axis=2), 1.0, rtol=0, atol=1e-10)
+        assert np.all(h.grad[2] == 0.0)
+        x = Tensor(logits, requires_grad=True)
+        res = grad_check(lambda z: ctc_loss_batch(log_softmax(z, axis=2), labels), [x])
+        assert res["passed"], res
+
     def test_brute_force_guards(self):
         with pytest.raises(ValueError):
             ctc_brute_force(log_uniform(9, 2), "a")

@@ -257,6 +257,34 @@ class TestNNOps:
 
         assert grad_check(f, [x, w_ih, w_hh, bias])["passed"]
 
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sequence_matches_cell_loop(self, steps, reverse):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, steps, 3)))
+        w_ih, w_hh, bias = (Tensor(rng.normal(size=s)) for s in [(8, 3), (8, 2), 8])
+        h = c = Tensor(np.zeros((2, 2)))
+        ref = np.zeros((2, steps, 2))
+        for t in (reversed(range(steps)) if reverse else range(steps)):
+            h, c = tc.lstm_cell(x[:, t, :], h, c, w_ih, w_hh, bias)
+            ref[:, t] = h.data
+        out = tc.lstm_sequence(x, w_ih, w_hh, bias, reverse=reverse)
+        assert np.allclose(out.data, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sequence_grad(self, steps, reverse):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, steps, 3)), requires_grad=True)
+        w_ih, w_hh, bias = (Tensor(rng.normal(size=s), requires_grad=True)
+                            for s in [(8, 3), (8, 2), 8])
+        weights = Tensor(rng.normal(size=(2, steps, 2)))
+
+        def f(xx, wi, wh, bb):
+            return (tc.lstm_sequence(xx, wi, wh, bb, reverse=reverse) * weights).sum()
+
+        assert grad_check(f, [x, w_ih, w_hh, bias])["passed"]
+
     def test_bilinear_sample_identity_and_grad(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(1, 2, 4, 5)), requires_grad=True)
