@@ -6,9 +6,7 @@ Usage:
 """
 
 import argparse
-import warnings
 
-from strforge.arch import BUILDERS
 from strforge.pipeline import all_combinations, assemble
 
 
@@ -18,13 +16,10 @@ def main():
     args = ap.parse_args()
 
     print(f"{'#':>2}  {'combination':<26} {'params':>12} {'feat FLOPs':>14}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for i, cfg in enumerate(all_combinations(scale=args.scale), start=1):
-            model = assemble(cfg, initialize=False)
-            flops = BUILDERS[cfg.feat.lower()](scale=args.scale).flop_count()
-            print(f"{i:>2}  {cfg.name:<26} {model.param_element_count():>12,} "
-                  f"{flops:>14,}")
+    for i, cfg in enumerate(all_combinations(scale=args.scale), start=1):
+        model = assemble(cfg, initialize=False)
+        print(f"{i:>2}  {cfg.name:<26} {model.param_element_count():>12,} "
+              f"{model.feat_graph.flop_count():>14,}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Declarative network graphs for the four backbone tables.
 
-Each builder returns an :class:`ArchGraph` of layer specs that supports shape
-inference, parameter counting, FLOP estimation, and instantiation into
-runnable layers on the tensor engine. Spatial pairs follow numpy order
+Each builder returns an :class:`ArchGraph` of layer specs. One rule per layer
+kind (`ArchGraph._rule`) gives a layer's output shape, parameter count, FLOPs
+and trainable-layer count; `ArchGraph.walk` threads the shapes through the
+table, and every count, `describe` and instantiation into runnable layers on
+the tensor engine read that walk. Spatial pairs follow numpy order
 (height, width) internally; the source tables print width x height, so
 builder code converts at the boundary.
 
@@ -88,23 +90,90 @@ class ArchGraph:
     layers: list
     input_shape: tuple = (1, 32, 100)   # (C, H, W)
     scale: float = 1.0
-    warnings: list = field(default_factory=list)
+    warnings: list = field(default_factory=list, init=False)  # set by infer_shapes/describe
 
     def scaled(self, c):
         if self.scale >= 1.0:
             return c
         return max(8, math.ceil(c * self.scale))
 
-    # -- shape inference -------------------------------------------------------
+    # -- the per-kind rule -------------------------------------------------------
+
+    def _rule(self, spec, shape):
+        """(output shape, parameters, FLOPs, trainable layers) of one layer on `shape`.
+
+        FLOPs are multiply-accumulates x2 of the conv and FC weights; pooling,
+        normalization and activations count 0. Trainable layers are conv and
+        FC layers, residual projection shortcuts excluded.
+        """
+        kind = spec.kind
+        if kind in ("conv", "pool"):
+            if len(shape) != 3:
+                raise ShapeError(f"{spec.name}: expected (C,H,W) input, got {shape}")
+            c, h, w = shape
+            try:
+                ho, wo = (tc.conv_output_size(n, k, s, p, floor=kind == "pool")
+                          for n, k, s, p in zip((h, w), spec.kernel, spec.stride, spec.padding))
+            except ShapeError as exc:
+                raise ShapeError(f"layer {self.name}.{spec.name}: {exc}") from exc
+            if kind == "pool":
+                return (c, ho, wo), 0, 0, 0
+            co = self.scaled(spec.out_channels)
+            macs = c * co * spec.kernel[0] * spec.kernel[1]
+            return (co, ho, wo), macs + (co if spec.bias else 0), 2 * macs * ho * wo, 1
+        if kind == "bn":
+            return shape, 2 * shape[0], 0, 0
+        if kind == "relu":
+            return shape, 0, 0, 0
+        if kind == "apool":
+            return (shape[0],), 0, 0, 0
+        if kind == "fc":
+            n_in = int(np.prod(shape))
+            out = self.scaled(spec.fc_out) if spec.scale_out else spec.fc_out
+            return (out,), (n_in + 1) * out, 2 * n_in * out, 1
+        cin, h, w = shape
+        if kind == "grcl":
+            # Feedforward and 1x1 gate convs run once, their recurrent twins
+            # (iterations - 1) times; four batch norms are shared across steps.
+            c = self.scaled(spec.out_channels)
+            k = spec.kernel[0] * spec.kernel[1]
+            ff, rec = cin * c * k + cin * c, c * c * k + c * c
+            flops = 2 * h * w * (ff + (spec.repeat - 1) * rec)
+            return (c, h, w), ff + rec + 4 * 2 * c, flops, 4
+        if kind == "resblock":
+            c1, c2 = self.scaled(spec.body[0]), self.scaled(spec.body[1])
+            macs = bn_params = 0
+            for _ in range(spec.repeat):
+                proj = cin != c2  # 1x1 conv + bn projects the shortcut when channels change
+                macs += 9 * c1 * (cin + c2) + proj * cin * c2
+                bn_params += 2 * (c1 + c2 + proj * c2)
+                cin = c2
+            return (c2, h, w), macs + bn_params, 2 * h * w * macs, 2 * spec.repeat
+        raise ValueError(f"unknown layer kind {spec.kind!r}")
+
+    def walk(self, input_shape=None):
+        """Yield (spec, in_shape, out_shape, params, flops, trainable_layers) per layer."""
+        shape = tuple(self.input_shape if input_shape is None else input_shape)
+        for spec in self.layers:
+            out_shape, params, flops, trainable = self._rule(spec, shape)
+            yield spec, shape, out_shape, params, flops, trainable
+            shape = out_shape
+
+    # -- shapes and counts ---------------------------------------------------------
 
     def infer_shapes(self, emit_warnings=True):
         """Per-layer output shapes; verifies table expectations at scale 1."""
-        shape = tuple(self.input_shape)
-        out = []
+        specs, _, shapes, *_ = zip(*self.walk())
+        notes = self._check(specs, shapes)
+        if emit_warnings:
+            for msg in notes:
+                warnings.warn(msg, ArchWarning, stacklevel=2)
+        return [(spec.name, shape) for spec, shape in zip(specs, shapes)]
+
+    def _check(self, specs, shapes):
+        """Sets `warnings`: table notes plus outputs that deviate from the table at scale 1."""
         notes = []
-        for spec in self.layers:
-            shape = self._layer_shape(spec, shape)
-            out.append((spec.name, shape))
+        for spec, shape in zip(specs, shapes):
             if spec.note:
                 notes.append(f"{self.name}.{spec.name}: {spec.note}")
             if spec.expected is not None and self.scale >= 1.0:
@@ -115,144 +184,34 @@ class ArchGraph:
                         f"from table entry {tuple(spec.expected)}"
                     )
         self.warnings = notes
-        if emit_warnings:
-            for msg in notes:
-                warnings.warn(msg, ArchWarning, stacklevel=2)
-        return out
-
-    def _layer_shape(self, spec, shape):
-        if spec.kind in ("conv", "pool"):
-            if len(shape) != 3:
-                raise ShapeError(f"{spec.name}: expected (C,H,W) input, got {shape}")
-            c, h, w = shape
-            kh, kw = spec.kernel
-            floor = spec.kind == "pool"
-            try:
-                ho = tc.conv_output_size(h, kh, spec.stride[0], spec.padding[0], floor=floor)
-                wo = tc.conv_output_size(w, kw, spec.stride[1], spec.padding[1], floor=floor)
-            except ShapeError as exc:
-                raise ShapeError(f"layer {self.name}.{spec.name}: {exc}") from exc
-            co = self.scaled(spec.out_channels) if spec.kind == "conv" else c
-            return (co, ho, wo)
-        if spec.kind in ("bn", "relu"):
-            return shape
-        if spec.kind == "apool":
-            return (shape[0],)
-        if spec.kind == "fc":
-            n_in = int(np.prod(shape))
-            out = self.scaled(spec.fc_out) if spec.scale_out else spec.fc_out
-            return (out,)
-        if spec.kind == "grcl":
-            return (self.scaled(spec.out_channels), shape[1], shape[2])
-        if spec.kind == "resblock":
-            return (self.scaled(spec.body[1]), shape[1], shape[2])
-        raise ValueError(f"unknown layer kind {spec.kind!r}")
-
-    # -- counting --------------------------------------------------------------
+        return notes
 
     def param_count(self):
-        return sum(n for _, n in self._param_walk())
-
-    def _param_walk(self):
-        shape = tuple(self.input_shape)
-        for spec in self.layers:
-            out_shape = self._layer_shape(spec, shape)
-            yield spec, self._layer_params(spec, shape, out_shape)
-            shape = out_shape
-
-    def _layer_params(self, spec, in_shape, out_shape):
-        if spec.kind == "conv":
-            cin = in_shape[0]
-            cout = out_shape[0]
-            kh, kw = spec.kernel
-            return cin * cout * kh * kw + (cout if spec.bias else 0)
-        if spec.kind == "bn":
-            return 2 * in_shape[0]
-        if spec.kind == "fc":
-            n_in = int(np.prod(in_shape))
-            return (n_in + 1) * out_shape[0]
-        if spec.kind == "grcl":
-            cin = in_shape[0]
-            c = out_shape[0]
-            kh, kw = spec.kernel
-            return (cin * c * kh * kw       # feedforward conv
-                    + c * c * kh * kw       # recurrent conv
-                    + cin * c + c * c       # 1x1 gate convs
-                    + 4 * 2 * c)            # four shared batch norms
-        if spec.kind == "resblock":
-            cin = in_shape[0]
-            c1 = self.scaled(spec.body[0])
-            c2 = self.scaled(spec.body[1])
-            total = 0
-            for _ in range(spec.repeat):
-                total += cin * c1 * 9 + 2 * c1 + c1 * c2 * 9 + 2 * c2
-                if cin != c2:
-                    total += cin * c2 + 2 * c2  # 1x1 projection shortcut + bn
-                cin = c2
-            return total
-        return 0
+        return sum(params for _, _, _, params, _, _ in self.walk())
 
     def trainable_layer_count(self):
         """Conv + FC layer count; residual projection shortcuts excluded."""
-        n = 0
-        for spec in self.layers:
-            if spec.kind in ("conv", "fc"):
-                n += 1
-            elif spec.kind == "resblock":
-                n += 2 * spec.repeat
-            elif spec.kind == "grcl":
-                n += 4
-        return n
+        return sum(trainable for *_, trainable in self.walk())
 
     def flop_count(self, input_shape=None):
-        """Approximate multiply-accumulate count x2 for conv/fc layers.
-
-        Pooling, normalization, and activations are ignored. GRCL counts the
-        feedforward convs once and the recurrent convs (iterations - 1) times.
-        """
-        shape = tuple(input_shape if input_shape is not None else self.input_shape)
-        total = 0
-        for spec in self.layers:
-            out_shape = self._layer_shape(spec, shape)
-            if spec.kind == "conv":
-                kh, kw = spec.kernel
-                total += 2 * shape[0] * out_shape[0] * kh * kw * out_shape[1] * out_shape[2]
-            elif spec.kind == "fc":
-                total += 2 * int(np.prod(shape)) * out_shape[0]
-            elif spec.kind == "grcl":
-                cin, c = shape[0], out_shape[0]
-                kh, kw = spec.kernel
-                hw = out_shape[1] * out_shape[2]
-                total += 2 * hw * (cin * c * kh * kw + cin * c)
-                total += 2 * hw * (spec.repeat - 1) * (c * c * kh * kw + c * c)
-            elif spec.kind == "resblock":
-                cin = shape[0]
-                c1, c2 = self.scaled(spec.body[0]), self.scaled(spec.body[1])
-                hw = out_shape[1] * out_shape[2]
-                for _ in range(spec.repeat):
-                    total += 2 * hw * (cin * c1 * 9 + c1 * c2 * 9)
-                    if cin != c2:
-                        total += 2 * hw * cin * c2
-                    cin = c2
-            shape = out_shape
-        return total
+        """Approximate multiply-accumulate count x2 for conv/fc layers (see `_rule`)."""
+        return sum(flops for *_, flops, _ in self.walk(input_shape))
 
     # -- reporting ---------------------------------------------------------------
 
     def describe(self):
-        shapes = self.infer_shapes(emit_warnings=False)
-        rows = []
-        for (name, shape), (spec, nparams) in zip(shapes, self._param_walk()):
-            rows.append({"layer": name, "kind": spec.kind,
-                         "output_shape": list(shape), "params": nparams})
+        specs, _, shapes, params, flops, trainable = zip(*self.walk())
+        self._check(specs, shapes)
         return {
             "name": self.name,
             "scale": self.scale,
             "input_shape": list(self.input_shape),
-            "layers": rows,
-            "param_count": self.param_count(),
-            "flop_count": self.flop_count(),
-            "trainable_layers": self.trainable_layer_count(),
+            "layers": [{"layer": spec.name, "kind": spec.kind,
+                        "output_shape": list(shape), "params": n}
+                       for spec, shape, n in zip(specs, shapes, params)],
+            "param_count": sum(params),
+            "flop_count": sum(flops),
+            "trainable_layers": sum(trainable),
             "warnings": list(self.warnings),
         }
 
@@ -576,12 +535,9 @@ class Net:
         self.dtype = dtype
         self.prefix = prefix
         self.layers = []
-        shape = tuple(graph.input_shape)
-        for spec in graph.layers:
-            out_shape = graph._layer_shape(spec, shape)
-            self.layers.append(self._build_layer(spec, shape, out_shape))
-            shape = out_shape
-        self.output_shape = shape
+        for spec, in_shape, out_shape, *_ in graph.walk():
+            self.layers.append(self._build_layer(spec, in_shape, out_shape))
+        self.output_shape = out_shape
 
     def _build_layer(self, spec, in_shape, out_shape):
         name = f"{self.prefix}.{spec.name}" if self.prefix else spec.name

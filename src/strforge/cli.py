@@ -15,12 +15,10 @@ import json
 import os
 import sys
 import time
-import warnings
 
 import numpy as np
 
 from . import __version__
-from .arch import BUILDERS
 from .checkpoint import load_params
 from .evalkit import (
     EvalConfigError,
@@ -169,11 +167,8 @@ def cmd_eval(args):
 def cmd_describe(args):
     cfg = PipelineConfig.from_string(args.pipeline, scale=args.scale)
     lines = [f"pipeline: {cfg.name} (scale {cfg.scale})"]
-    graph = BUILDERS[cfg.feat.lower()](scale=cfg.scale)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        desc = graph.describe()
-        model = assemble(cfg, initialize=False)
+    model = assemble(cfg, initialize=False)
+    desc = model.feat_graph.describe()
     for row in desc["layers"]:
         shape = "x".join(str(s) for s in row["output_shape"])
         lines.append(f"  {row['layer']:<14s} {row['kind']:<9s} "
@@ -181,9 +176,9 @@ def cmd_describe(args):
     for note in desc["warnings"]:
         lines.append(f"  note: {note}")
     total = model.param_element_count()
-    lines.append(f"feature extractor params: {graph.param_count():,} | "
-                 f"FLOPs: {graph.flop_count():,} | "
-                 f"trainable layers: {graph.trainable_layer_count()}")
+    lines.append(f"feature extractor params: {desc['param_count']:,} | "
+                 f"FLOPs: {desc['flop_count']:,} | "
+                 f"trainable layers: {desc['trainable_layers']}")
     lines.append(f"total pipeline params: {total:,} ({total / 1e6:.2f}M)")
     text = "\n".join(lines)
     print(text)

@@ -49,7 +49,7 @@ PRED_OPTIONS = ("CTC", "Attn")
 
 
 class ConfigError(ValueError):
-    """Invalid pipeline combination string or option token."""
+    """Invalid pipeline combination, option token or training setup."""
 
 
 def _match(token, options, stage):
@@ -434,7 +434,11 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
     val_accuracy) log. `train_set`/`val_set` expose .images and .labels. A
     non-finite loss or pre-clip gradient norm restores those parameters (the
     initial ones before the first validation) and raises FloatingPointError.
+    An empty training or validation set raises ConfigError.
     """
+    for what, data in (("training", train_set), ("validation", val_set)):
+        if len(data.labels) == 0:
+            raise ConfigError(f"the {what} set is empty")
     pool = _training_indices(len(train_set.labels), recipe.fraction, recipe.seed)
     rng = np.random.default_rng(recipe.seed + 1)
     params = model.params()

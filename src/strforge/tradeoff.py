@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .pipeline import FEAT_OPTIONS, PRED_OPTIONS, SEQ_OPTIONS, TRANS_OPTIONS
+
 REGULAR_WEIGHTS = {"iiit": 3000, "svt": 647, "ic03_867": 867, "ic13_1015": 1015}
 IRREGULAR_WEIGHTS = {"ic15_2077": 2077, "sp": 645, "ct": 288}
 
@@ -155,12 +157,7 @@ def module_marginal(rows, stage: str, option: str):
     }
 
 
-_OPTIONS = {
-    "trans": ("None", "TPS"),
-    "feat": ("VGG", "RCNN", "ResNet"),
-    "seq": ("None", "BiLSTM"),
-    "pred": ("CTC", "Attn"),
-}
+_OPTIONS = dict(zip(STAGES, (TRANS_OPTIONS, FEAT_OPTIONS, SEQ_OPTIONS, PRED_OPTIONS)))
 
 
 def all_marginals(rows):

@@ -58,7 +58,31 @@ class TestShapeTables:
         assert s["fc2"] == (40,)
 
 
+GRAPHS = dict(BUILDERS, loc=lambda scale: build_localization_net(20, scale=scale))
+
+# (param_count, flop_count, trainable_layer_count), exact.
+PINNED = {
+    ("vgg", 1.0): (5_549_824, 1_233_666_048, 7),
+    ("vgg", 0.125): (87_136, 19_679_232, 7),
+    ("rcnn", 1.0): (1_839_744, 1_266_958_336, 14),
+    ("rcnn", 0.125): (29_264, 20_199_424, 14),
+    ("resnet", 1.0): (44_263_904, 10_089_668_608, 29),
+    ("resnet", 0.125): (694_696, 159_926_272, 29),
+    ("loc", 1.0): (1_692_392, 353_144_832, 6),
+    ("loc", 0.125): (27_904, 5_923_328, 6),
+}
+
+
 class TestCounts:
+    @pytest.mark.parametrize("name,scale", list(PINNED))
+    def test_pinned_counts(self, name, scale):
+        g = GRAPHS[name](scale=scale)
+        counts = (g.param_count(), g.flop_count(), g.trainable_layer_count())
+        assert counts == PINNED[name, scale]
+        d = g.describe()
+        assert (d["param_count"], d["flop_count"], d["trainable_layers"]) == counts
+        assert sum(row["params"] for row in d["layers"]) == counts[0]
+
     def test_vgg_param_count(self):
         assert build_vgg().param_count() == 5_549_824
 
@@ -82,7 +106,7 @@ class TestCounts:
         assert abs(f - 1.2e9) / 1.2e9 < 0.25
 
     def test_counts_match_instantiated_params(self):
-        for name, builder in BUILDERS.items():
+        for name, builder in GRAPHS.items():
             g = builder(scale=0.125)
             net = g.instantiate(dtype=np.float32)
             assert net.param_element_count() == g.param_count(), name

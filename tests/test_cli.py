@@ -41,14 +41,18 @@ def test_invalid_pipeline_token_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--batch", "--iters", "--val-every"])
+@pytest.mark.parametrize("flag", ["--batch", "--iters", "--val-every",
+                                  "--train-size", "--val-size"])
 def test_train_zero_count_exits_2(tmp_path, capsys, flag):
     args = {"--batch": "4", "--iters": "2", "--val-every": "2", flag: "0"}
     code = main(["train", "--pipeline", "None-VGG-None-CTC", "--scale", "0.125",
                  "--train-size", "4", "--val-size", "4", "--max-len", "2",
                  "--out", str(tmp_path)] + [t for kv in args.items() for t in kv])
     assert code == EXIT_USAGE
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    named = {"--batch": "batch_size", "--iters": "iterations", "--val-every": "val_interval",
+             "--train-size": "training set", "--val-size": "validation set"}[flag]
+    assert "error:" in err and named in err
     assert not (tmp_path / "checkpoint.bin").exists()
 
 
