@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError
 
 
 class ArchWarning(UserWarning):
@@ -215,8 +215,9 @@ class ArchGraph:
             "warnings": list(self.warnings),
         }
 
-    def instantiate(self, dtype=np.float32, prefix=None):
-        return Net(self, dtype=dtype, prefix=prefix if prefix is not None else self.name)
+    def instantiate(self, store, prefix=None):
+        """Runnable layers whose tensors and batch-norm states are created in `store`."""
+        return Net(self, store, prefix=prefix if prefix is not None else self.name)
 
 
 # -- builders ---------------------------------------------------------------------
@@ -345,18 +346,11 @@ BUILDERS = {
 
 
 class _ConvLayer:
-    def __init__(self, name, cin, cout, kernel, stride, padding, bias, dtype):
-        self.name = name
+    def __init__(self, store, name, cin, cout, kernel, stride, padding, bias):
         self.stride = stride
         self.padding = padding
-        self.weight = Tensor(np.zeros((cout, cin, *kernel), dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True) if bias else None
-
-    def params(self):
-        out = {f"{self.name}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{self.name}.bias"] = self.bias
-        return out
+        self.weight = store.new(f"{name}.weight", (cout, cin, *kernel))
+        self.bias = store.new(f"{name}.bias", (cout,)) if bias else None
 
     def forward(self, x, mode):
         out = tc.conv2d(x, self.weight, self.stride, self.padding)
@@ -366,64 +360,37 @@ class _ConvLayer:
 
 
 class _BNLayer:
-    def __init__(self, name, c, dtype):
-        self.name = name
-        self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.state = tc.BatchNormState(c, dtype=dtype)
-
-    def params(self):
-        return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
-
-    def bn_states(self):
-        return {self.name: self.state}
+    def __init__(self, store, name, c):
+        self.gamma = store.new(f"{name}.gamma", (c,), fill=1.0)
+        self.beta = store.new(f"{name}.beta", (c,))
+        self.state = store.bn_state(name, c)
 
     def forward(self, x, mode):
         return tc.batchnorm(x, self.gamma, self.beta, self.state, mode=mode)
 
 
 class _PoolLayer:
-    def __init__(self, name, kernel, stride, padding):
-        self.name = name
+    def __init__(self, kernel, stride, padding):
         self.kernel, self.stride, self.padding = kernel, stride, padding
-
-    def params(self):
-        return {}
 
     def forward(self, x, mode):
         return tc.maxpool2d(x, self.kernel, self.stride, self.padding)
 
 
 class _ReluLayer:
-    def __init__(self, name):
-        self.name = name
-
-    def params(self):
-        return {}
-
     def forward(self, x, mode):
         return tc.relu(x)
 
 
 class _APoolLayer:
-    def __init__(self, name):
-        self.name = name
-
-    def params(self):
-        return {}
-
     def forward(self, x, mode):
         return x.mean(axis=(-2, -1))
 
 
 class _FCLayer:
-    def __init__(self, name, n_in, n_out, dtype):
-        self.name = name
-        self.weight = Tensor(np.zeros((n_out, n_in), dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        return {f"{self.name}.weight": self.weight, f"{self.name}.bias": self.bias}
+    def __init__(self, store, name, n_in, n_out):
+        self.weight = store.new(f"{name}.weight", (n_out, n_in))
+        self.bias = store.new(f"{name}.bias", (n_out,))
 
     def forward(self, x, mode):
         if x.ndim > 2:
@@ -439,32 +406,17 @@ class _GRCLLayer:
     x_t = relu(BN(wf * u) + gate_t * BN(wr * x_{t-1})).
     """
 
-    def __init__(self, name, cin, c, kernel, iterations, dtype):
-        self.name = name
+    def __init__(self, store, name, cin, c, kernel, iterations):
         self.iterations = iterations
-        self.wf = Tensor(np.zeros((c, cin, *kernel), dtype=dtype), requires_grad=True)
-        self.wr = Tensor(np.zeros((c, c, *kernel), dtype=dtype), requires_grad=True)
-        self.wgf = Tensor(np.zeros((c, cin, 1, 1), dtype=dtype), requires_grad=True)
-        self.wgr = Tensor(np.zeros((c, c, 1, 1), dtype=dtype), requires_grad=True)
-        pad = (kernel[0] // 2, kernel[1] // 2)
-        self.pad = pad
-        self.bn_f = _BNLayer(f"{name}.bn_f", c, dtype)
-        self.bn_r = _BNLayer(f"{name}.bn_r", c, dtype)
-        self.bn_gf = _BNLayer(f"{name}.bn_gf", c, dtype)
-        self.bn_gr = _BNLayer(f"{name}.bn_gr", c, dtype)
-
-    def params(self):
-        out = {f"{self.name}.wf": self.wf, f"{self.name}.wr": self.wr,
-               f"{self.name}.wgf": self.wgf, f"{self.name}.wgr": self.wgr}
-        for sub in (self.bn_f, self.bn_r, self.bn_gf, self.bn_gr):
-            out.update(sub.params())
-        return out
-
-    def bn_states(self):
-        out = {}
-        for sub in (self.bn_f, self.bn_r, self.bn_gf, self.bn_gr):
-            out.update(sub.bn_states())
-        return out
+        self.wf = store.new(f"{name}.wf", (c, cin, *kernel))
+        self.wr = store.new(f"{name}.wr", (c, c, *kernel))
+        self.wgf = store.new(f"{name}.wgf", (c, cin, 1, 1))
+        self.wgr = store.new(f"{name}.wgr", (c, c, 1, 1))
+        self.pad = (kernel[0] // 2, kernel[1] // 2)
+        self.bn_f = _BNLayer(store, f"{name}.bn_f", c)
+        self.bn_r = _BNLayer(store, f"{name}.bn_r", c)
+        self.bn_gf = _BNLayer(store, f"{name}.bn_gf", c)
+        self.bn_gr = _BNLayer(store, f"{name}.bn_gr", c)
 
     def forward(self, u, mode):
         ff = self.bn_f.forward(tc.conv2d(u, self.wf, (1, 1), self.pad), mode)
@@ -482,39 +434,22 @@ class _GRCLLayer:
 class _ResBlockLayer:
     """Stack of two-conv residual units; 1x1 projection when channels change."""
 
-    def __init__(self, name, cin, c1, c2, repeat, dtype):
-        self.name = name
+    def __init__(self, store, name, cin, c1, c2, repeat):
         self.units = []
         for r in range(repeat):
             unit = {
-                "conv1": _ConvLayer(f"{name}.{r}.conv1", cin, c1, (3, 3), (1, 1), (1, 1), False, dtype),
-                "bn1": _BNLayer(f"{name}.{r}.bn1", c1, dtype),
-                "conv2": _ConvLayer(f"{name}.{r}.conv2", c1, c2, (3, 3), (1, 1), (1, 1), False, dtype),
-                "bn2": _BNLayer(f"{name}.{r}.bn2", c2, dtype),
+                "conv1": _ConvLayer(store, f"{name}.{r}.conv1", cin, c1, (3, 3), (1, 1), (1, 1), False),
+                "bn1": _BNLayer(store, f"{name}.{r}.bn1", c1),
+                "conv2": _ConvLayer(store, f"{name}.{r}.conv2", c1, c2, (3, 3), (1, 1), (1, 1), False),
+                "bn2": _BNLayer(store, f"{name}.{r}.bn2", c2),
                 "proj": None,
                 "bn_proj": None,
             }
             if cin != c2:
-                unit["proj"] = _ConvLayer(f"{name}.{r}.proj", cin, c2, (1, 1), (1, 1), (0, 0), False, dtype)
-                unit["bn_proj"] = _BNLayer(f"{name}.{r}.bn_proj", c2, dtype)
+                unit["proj"] = _ConvLayer(store, f"{name}.{r}.proj", cin, c2, (1, 1), (1, 1), (0, 0), False)
+                unit["bn_proj"] = _BNLayer(store, f"{name}.{r}.bn_proj", c2)
             self.units.append(unit)
             cin = c2
-
-    def params(self):
-        out = {}
-        for unit in self.units:
-            for key in ("conv1", "bn1", "conv2", "bn2", "proj", "bn_proj"):
-                if unit[key] is not None:
-                    out.update(unit[key].params())
-        return out
-
-    def bn_states(self):
-        out = {}
-        for unit in self.units:
-            for key in ("bn1", "bn2", "bn_proj"):
-                if unit[key] is not None:
-                    out.update(unit[key].bn_states())
-        return out
 
     def forward(self, x, mode):
         for unit in self.units:
@@ -528,57 +463,39 @@ class _ResBlockLayer:
 
 
 class Net:
-    """Runnable instantiation of an ArchGraph."""
+    """Runnable instantiation of an ArchGraph, its tensors created in `store`."""
 
-    def __init__(self, graph: ArchGraph, dtype=np.float32, prefix=""):
+    def __init__(self, graph: ArchGraph, store, prefix=""):
         self.graph = graph
-        self.dtype = dtype
         self.prefix = prefix
         self.layers = []
         for spec, in_shape, out_shape, *_ in graph.walk():
-            self.layers.append(self._build_layer(spec, in_shape, out_shape))
+            self.layers.append(self._build_layer(store, spec, in_shape, out_shape))
         self.output_shape = out_shape
 
-    def _build_layer(self, spec, in_shape, out_shape):
+    def _build_layer(self, store, spec, in_shape, out_shape):
         name = f"{self.prefix}.{spec.name}" if self.prefix else spec.name
         if spec.kind == "conv":
-            return _ConvLayer(name, in_shape[0], out_shape[0], spec.kernel,
-                              spec.stride, spec.padding, spec.bias, self.dtype)
+            return _ConvLayer(store, name, in_shape[0], out_shape[0], spec.kernel,
+                              spec.stride, spec.padding, spec.bias)
         if spec.kind == "bn":
-            return _BNLayer(name, in_shape[0], self.dtype)
+            return _BNLayer(store, name, in_shape[0])
         if spec.kind == "pool":
-            return _PoolLayer(name, spec.kernel, spec.stride, spec.padding)
+            return _PoolLayer(spec.kernel, spec.stride, spec.padding)
         if spec.kind == "relu":
-            return _ReluLayer(name)
+            return _ReluLayer()
         if spec.kind == "apool":
-            return _APoolLayer(name)
+            return _APoolLayer()
         if spec.kind == "fc":
-            return _FCLayer(name, int(np.prod(in_shape)), out_shape[0], self.dtype)
+            return _FCLayer(store, name, int(np.prod(in_shape)), out_shape[0])
         if spec.kind == "grcl":
-            return _GRCLLayer(name, in_shape[0], out_shape[0], spec.kernel,
-                              spec.repeat, self.dtype)
+            return _GRCLLayer(store, name, in_shape[0], out_shape[0], spec.kernel,
+                              spec.repeat)
         if spec.kind == "resblock":
             c1 = self.graph.scaled(spec.body[0])
             c2 = self.graph.scaled(spec.body[1])
-            return _ResBlockLayer(name, in_shape[0], c1, c2, spec.repeat, self.dtype)
+            return _ResBlockLayer(store, name, in_shape[0], c1, c2, spec.repeat)
         raise ValueError(f"unknown layer kind {spec.kind!r}")
-
-    def params(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        return out
-
-    def param_element_count(self):
-        return sum(p.size for p in self.params().values())
-
-    def bn_states(self):
-        out = {}
-        for layer in self.layers:
-            getter = getattr(layer, "bn_states", None)
-            if getter is not None:
-                out.update(getter())
-        return out
 
     def forward(self, x, mode="train"):
         for layer in self.layers:

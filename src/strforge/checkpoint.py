@@ -18,14 +18,11 @@ MAGIC = b"STRCKPT1"
 
 def save_params(path, params, extra=None):
     """Write named arrays to `path` as float32. `extra` lands in the header."""
-    names = list(params)
     entries = {}
     offset = crc = 0
     blobs = []
-    for name in names:
-        data = params[name]
-        arr = np.ascontiguousarray(data.data if hasattr(data, "data") and hasattr(data, "shape") else data,
-                                   dtype="<f4")
+    for name, data in params.items():
+        arr = np.ascontiguousarray(data, dtype="<f4")
         entries[name] = {"shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
         blobs.append(arr.tobytes())

@@ -73,7 +73,6 @@ def cmd_train(args):
     _prep_out(args)
     cfg = PipelineConfig.from_string(args.pipeline, scale=args.scale,
                                      seed=args.seed)
-    model = assemble(cfg)
     tr = synth_toydata(args.train_size, max_len=args.max_len, seed=args.seed + 1)
     va = synth_toydata(args.val_size, max_len=args.max_len, seed=args.seed + 2)
     recipe = TrainRecipe(rho=args.rho, clip=args.clip, batch_size=args.batch,
@@ -89,6 +88,7 @@ def cmd_train(args):
                 fh.write(f"{f},{acc}\n")
         print("fraction sweep:", table)
         return EXIT_OK
+    model = assemble(cfg)
     result = train(model, recipe, tr, va)
     model.save(os.path.join(args.out, "checkpoint.bin"),
                extra={"best_step": result.best_step,

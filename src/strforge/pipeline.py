@@ -32,7 +32,7 @@ from .predict import (
     ctc_loss_batch,
 )
 from .seqmodel import BiLSTMStack
-from .tensor import Tensor, log_softmax, matmul
+from .tensor import ParamStore, Tensor, log_softmax, matmul
 from .tps import TpsTransformer
 from .toydata import synth_toydata  # re-exported: the pipeline's data source
 
@@ -122,12 +122,13 @@ class Model:
     def __init__(self, cfg: PipelineConfig, dtype=np.float32):
         self.cfg = cfg
         self.dtype = dtype
+        self.store = ParamStore(dtype)
         self.tps = None
         if cfg.trans == "TPS":
-            self.tps = TpsTransformer(num_fiducials=cfg.num_fiducials,
-                                      scale=cfg.scale, dtype=dtype)
+            self.tps = TpsTransformer(self.store, num_fiducials=cfg.num_fiducials,
+                                      scale=cfg.scale)
         self.feat_graph = BUILDERS[cfg.feat.lower()](scale=cfg.scale)
-        self.feat = self.feat_graph.instantiate(dtype=dtype, prefix="feat")
+        self.feat = self.feat_graph.instantiate(self.store, prefix="feat")
         c, h, w = self.feat.output_shape
         if h != 1:
             raise ConfigError(f"feature map height {h} != 1; cannot form sequence")
@@ -137,43 +138,31 @@ class Model:
         self.seq = None
         if cfg.seq == "BiLSTM":
             hidden = self.feat_graph.scaled(256)
-            self.seq = BiLSTMStack(input_size=feat_width, hidden_size=hidden,
-                                   output_size=hidden, dtype=dtype, name="seq")
+            self.seq = BiLSTMStack(self.store, input_size=feat_width, hidden_size=hidden,
+                                   output_size=hidden, name="seq")
             feat_width = self.seq.output_size
 
         if cfg.pred == "CTC":
-            self.ctc_w = Tensor(np.zeros((NUM_CLASSES, feat_width), dtype=dtype),
-                                requires_grad=True)
-            self.ctc_b = Tensor(np.zeros(NUM_CLASSES, dtype=dtype),
-                                requires_grad=True)
+            self.ctc_w = self.store.new("pred.ctc.weight", (NUM_CLASSES, feat_width))
+            self.ctc_b = self.store.new("pred.ctc.bias", (NUM_CLASSES,))
             self.attn = None
         else:
             hidden = self.feat_graph.scaled(256)
-            self.attn = AttnDecoder(input_size=feat_width, hidden_size=hidden,
-                                    dtype=dtype, name="attn")
+            self.attn = AttnDecoder(self.store, input_size=feat_width, hidden_size=hidden,
+                                    name="attn")
 
     # -- parameters --------------------------------------------------------
 
     def params(self):
-        out = {}
-        if self.tps is not None:
-            out.update(self.tps.params())
-        out.update(self.feat.params())
-        if self.seq is not None:
-            out.update(self.seq.params())
-        if self.attn is not None:
-            out.update(self.attn.params())
-        else:
-            out["pred.ctc.weight"] = self.ctc_w
-            out["pred.ctc.bias"] = self.ctc_b
-        return out
+        """Name -> trainable tensor, in creation order: Trans, Feat, Seq, Pred."""
+        return dict(self.store.tensors)
 
     def param_element_count(self):
-        return sum(int(p.size) for p in self.params().values())
+        return sum(int(p.size) for p in self.store.tensors.values())
 
-    def initialize(self, seed: int = None):
+    def initialize(self):
         """He-initialize all stages, then reset the TPS head to identity."""
-        he_init(self.params(), self.cfg.seed if seed is None else seed)
+        he_init(self.store.tensors, self.cfg.seed)
         if self.tps is not None:
             self.tps.reset_head()
         return self
@@ -221,20 +210,13 @@ class Model:
 
     # -- checkpointing -------------------------------------------------------
 
-    def bn_states(self):
-        out = {}
-        if self.tps is not None:
-            out.update(self.tps.bn_states())
-        out.update(self.feat.bn_states())
-        return out
-
     def save(self, path, extra=None):
         """Write parameters and BN statistics; the header names the config."""
         merged = {"config": self.cfg.name, "scale": self.cfg.scale,
                   "num_fiducials": self.cfg.num_fiducials, **(extra or {})}
-        arrays = dict(self.params())
+        arrays = {name: p.data for name, p in self.store.tensors.items()}
         initialized = []
-        for name, state in self.bn_states().items():
+        for name, state in self.store.bn_states.items():
             arrays[f"{name}.running_mean"] = state.running_mean
             arrays[f"{name}.running_var"] = state.running_var
             if state.initialized:
@@ -252,7 +234,7 @@ class Model:
                               f"does not match the model's {own}")
         self.set_param_values(params)
         initialized = set(extra.get("bn_initialized", []))
-        for name, state in self.bn_states().items():
+        for name, state in self.store.bn_states.items():
             mean = params.get(f"{name}.running_mean")
             if mean is None:
                 continue
@@ -263,7 +245,7 @@ class Model:
         return extra
 
     def set_param_values(self, values):
-        own = self.params()
+        own = self.store.tensors
         missing = set(own) - set(values)
         if missing:
             raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:4]} ...")
@@ -271,7 +253,7 @@ class Model:
             p.data[...] = values[name].reshape(p.shape)
 
     def snapshot(self):
-        return {name: p.data.copy() for name, p in self.params().items()}
+        return {name: p.data.copy() for name, p in self.store.tensors.items()}
 
 
 def assemble(cfg, dtype=np.float32, initialize=True) -> Model:

@@ -244,52 +244,29 @@ class AttnDecoder:
     Scores e_ti = v^T tanh(W s_{t-1} + V h_i + b); the context is the
     alpha-weighted sum of H; the LSTM consumes the one-hot previous symbol
     concatenated with the context; the output head is a 37-way softmax.
-    Parameters are created zero-filled.
+    Parameters are created zero-filled in `store`; their dtype is the decoder's.
     """
 
-    def __init__(self, input_size=256, hidden_size=256, dtype=np.float32, name="attn"):
-        self.name = name
+    def __init__(self, store, input_size=256, hidden_size=256, name="attn"):
         self.hidden_size = hidden_size
-        self.dtype = dtype
-
-        def par(shape):
-            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-        self.w_score = par((hidden_size, hidden_size))  # W
-        self.v_score = par((hidden_size, input_size))   # V
-        self.b_score = par(hidden_size)                 # b
-        self.vec_score = par(hidden_size)               # v
-        self.w_ih = par((4 * hidden_size, NUM_CLASSES + input_size))
-        self.w_hh = par((4 * hidden_size, hidden_size))
-        self.b_lstm = par(4 * hidden_size)
-        self.w_out = par((NUM_CLASSES, hidden_size))
-        self.b_out = par(NUM_CLASSES)
-
-    def params(self):
-        n = self.name
-        return {
-            f"{n}.w_score": self.w_score,
-            f"{n}.v_score": self.v_score,
-            f"{n}.b_score": self.b_score,
-            f"{n}.vec_score": self.vec_score,
-            f"{n}.w_ih": self.w_ih,
-            f"{n}.w_hh": self.w_hh,
-            f"{n}.b_lstm": self.b_lstm,
-            f"{n}.w_out": self.w_out,
-            f"{n}.b_out": self.b_out,
-        }
-
-    def param_element_count(self):
-        return sum(int(p.size) for p in self.params().values())
+        self.w_score = store.new(f"{name}.w_score", (hidden_size, hidden_size))  # W
+        self.v_score = store.new(f"{name}.v_score", (hidden_size, input_size))   # V
+        self.b_score = store.new(f"{name}.b_score", (hidden_size,))              # b
+        self.vec_score = store.new(f"{name}.vec_score", (hidden_size,))          # v
+        self.w_ih = store.new(f"{name}.w_ih", (4 * hidden_size, NUM_CLASSES + input_size))
+        self.w_hh = store.new(f"{name}.w_hh", (4 * hidden_size, hidden_size))
+        self.b_lstm = store.new(f"{name}.b_lstm", (4 * hidden_size,))
+        self.w_out = store.new(f"{name}.w_out", (NUM_CLASSES, hidden_size))
+        self.b_out = store.new(f"{name}.b_out", (NUM_CLASSES,))
 
     def init_state(self, batch):
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=self.dtype))
-        c = Tensor(np.zeros((batch, self.hidden_size), dtype=self.dtype))
+        h = Tensor(np.zeros((batch, self.hidden_size), dtype=self.b_out.dtype))
+        c = Tensor(np.zeros((batch, self.hidden_size), dtype=self.b_out.dtype))
         return h, c
 
     def start_onehot(self, batch):
         """The step-0 previous symbol: the special class acts as GO."""
-        y0 = np.zeros((batch, NUM_CLASSES), dtype=self.dtype)
+        y0 = np.zeros((batch, NUM_CLASSES), dtype=self.b_out.dtype)
         y0[:, SPECIAL_INDEX] = 1.0
         return Tensor(y0)
 

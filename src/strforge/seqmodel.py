@@ -8,13 +8,11 @@ FC layer back to the hidden width, after every layer including the last, so
 downstream predictors consume width-H vectors. The "None" sequence option is
 no module at all: the model passes V through.
 
-Parameters are created zero-filled; initialization policy lives with the
-training pipeline.
+Parameters are created zero-filled in the model's ParamStore; initialization
+policy lives with the training pipeline.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .tensor import ShapeError, Tensor, concat, lstm_sequence, matmul
 
@@ -22,41 +20,21 @@ from .tensor import ShapeError, Tensor, concat, lstm_sequence, matmul
 class _LstmDirection:
     """Weights for one direction of one BiLSTM layer."""
 
-    def __init__(self, name, input_size, hidden_size, dtype):
-        self.name = name
+    def __init__(self, store, name, input_size, hidden_size):
         self.hidden_size = hidden_size
-        self.w_ih = Tensor(np.zeros((4 * hidden_size, input_size), dtype=dtype),
-                           requires_grad=True)
-        self.w_hh = Tensor(np.zeros((4 * hidden_size, hidden_size), dtype=dtype),
-                           requires_grad=True)
-        self.bias = Tensor(np.zeros(4 * hidden_size, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        return {
-            f"{self.name}.w_ih": self.w_ih,
-            f"{self.name}.w_hh": self.w_hh,
-            f"{self.name}.bias": self.bias,
-        }
+        self.w_ih = store.new(f"{name}.w_ih", (4 * hidden_size, input_size))
+        self.w_hh = store.new(f"{name}.w_hh", (4 * hidden_size, hidden_size))
+        self.bias = store.new(f"{name}.bias", (4 * hidden_size,))
 
 
 class BiLSTMLayer:
     """One bidirectional layer plus its FC projection (2H -> out)."""
 
-    def __init__(self, name, input_size, hidden_size, output_size, dtype):
-        self.name = name
-        self.fwd = _LstmDirection(f"{name}.fwd", input_size, hidden_size, dtype)
-        self.bwd = _LstmDirection(f"{name}.bwd", input_size, hidden_size, dtype)
-        self.fc_w = Tensor(np.zeros((output_size, 2 * hidden_size), dtype=dtype),
-                           requires_grad=True)
-        self.fc_b = Tensor(np.zeros(output_size, dtype=dtype), requires_grad=True)
-
-    def params(self):
-        out = {}
-        out.update(self.fwd.params())
-        out.update(self.bwd.params())
-        out[f"{self.name}.fc.weight"] = self.fc_w
-        out[f"{self.name}.fc.bias"] = self.fc_b
-        return out
+    def __init__(self, store, name, input_size, hidden_size, output_size):
+        self.fwd = _LstmDirection(store, f"{name}.fwd", input_size, hidden_size)
+        self.bwd = _LstmDirection(store, f"{name}.bwd", input_size, hidden_size)
+        self.fc_w = store.new(f"{name}.fc.weight", (output_size, 2 * hidden_size))
+        self.fc_b = store.new(f"{name}.fc.bias", (output_size,))
 
     def forward(self, v: Tensor) -> Tensor:
         """(B, I, D) -> (B, I, out): both directions, then one FC matmul over B*I rows."""
@@ -71,23 +49,13 @@ class BiLSTMLayer:
 class BiLSTMStack:
     """Two stacked bidirectional layers, each with its FC projection."""
 
-    def __init__(self, input_size=512, hidden_size=256, output_size=256,
-                 dtype=np.float32, name="seq"):
-        self.name = name
+    def __init__(self, store, input_size=512, hidden_size=256, output_size=256,
+                 name="seq"):
         self.layers = [
-            BiLSTMLayer(f"{name}.layer1", input_size, hidden_size, output_size, dtype),
-            BiLSTMLayer(f"{name}.layer2", output_size, hidden_size, output_size, dtype),
+            BiLSTMLayer(store, f"{name}.layer1", input_size, hidden_size, output_size),
+            BiLSTMLayer(store, f"{name}.layer2", output_size, hidden_size, output_size),
         ]
         self.output_size = output_size
-
-    def params(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        return out
-
-    def param_element_count(self):
-        return sum(int(p.size) for p in self.params().values())
 
     def forward(self, v: Tensor) -> Tensor:
         """(B, I, D) -> (B, I, output_size)."""

@@ -490,9 +490,10 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
 class BatchNormState:
     """Running first/second moments for one batch-norm layer."""
 
-    def __init__(self, num_features, dtype=np.float64, momentum=0.1, eps=1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, num_features, dtype=np.float64):
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
         self.initialized = False
@@ -506,6 +507,32 @@ class BatchNormState:
             m = self.momentum
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
+
+
+class ParamStore:
+    """The trainable tensors and batch-norm states of one model, by name.
+
+    Every module of a model creates its parameters here, in one dtype, so
+    initialization, training, counts and checkpoints read one list, in
+    creation order.
+    """
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self.tensors = {}    # name -> Tensor with requires_grad
+        self.bn_states = {}  # name -> BatchNormState
+
+    def new(self, name, shape, fill=0.0):
+        if name in self.tensors:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        tensor = Tensor(np.full(shape, fill, dtype=self.dtype), requires_grad=True)
+        self.tensors[name] = tensor
+        return tensor
+
+    def bn_state(self, name, channels):
+        state = BatchNormState(channels, dtype=self.dtype)
+        self.bn_states[name] = state
+        return state
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,

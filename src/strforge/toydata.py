@@ -16,6 +16,7 @@ from .predict import ALPHABET
 
 IMAGE_H = 32
 IMAGE_W = 100
+NOISE_STD = 0.05  # additive Gaussian pixel noise, on the [-1, 1] scale
 
 # Classic 5x7 dot-matrix glyphs, one 5-byte column strip per character; each
 # byte is a column with the least-significant bit at the top row.
@@ -78,7 +79,7 @@ class ToyDataset:
         return self.images.shape[0]
 
 
-def render_word(word: str, rng: np.random.Generator, noise: float = 0.05) -> np.ndarray:
+def render_word(word: str, rng: np.random.Generator) -> np.ndarray:
     """Render one word to a (1, 32, 100) array in [-1, 1]."""
     canvas = np.zeros((IMAGE_H, IMAGE_W), dtype=np.float32)
     scale = int(rng.integers(2, 4))  # glyph pixel size 2 or 3
@@ -97,21 +98,19 @@ def render_word(word: str, rng: np.random.Generator, noise: float = 0.05) -> np.
                                                   bm.astype(np.float32))
         x += gw + spacing
     img = canvas * 2.0 - 1.0
-    if noise > 0:
-        img = img + rng.normal(0.0, noise, img.shape)
+    img = img + rng.normal(0.0, NOISE_STD, img.shape)
     return np.clip(img, -1.0, 1.0).astype(np.float32)[None]
 
 
-def synth_toydata(n: int, max_len: int = 5, seed: int = 0, charset: str = ALPHABET,
-                  min_len: int = 1, noise: float = 0.05) -> ToyDataset:
-    """Generate n labeled word images, deterministic per seed."""
+def synth_toydata(n: int, max_len: int = 5, seed: int = 0) -> ToyDataset:
+    """Generate n labeled word images of 1 to max_len characters, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    chars = list(charset)
+    chars = list(ALPHABET)
     images = np.empty((n, 1, IMAGE_H, IMAGE_W), dtype=np.float32)
     labels = []
     for i in range(n):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(1, max_len + 1))
         word = "".join(rng.choice(chars) for _ in range(length))
-        images[i] = render_word(word, rng, noise=noise)
+        images[i] = render_word(word, rng)
         labels.append(word)
     return ToyDataset(images, labels)

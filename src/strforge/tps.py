@@ -162,24 +162,17 @@ class TpsTransformer:
     grid steps fold into one constant-matrix multiplication.
     """
 
-    def __init__(self, num_fiducials=20, scale=1.0, out_size=(32, 100), dtype=np.float32):
+    def __init__(self, store, num_fiducials=20, scale=1.0, out_size=(32, 100)):
         self.num_fiducials = num_fiducials
         self.out_size = out_size
-        self.dtype = dtype
         self.loc_graph = build_localization_net(num_fiducials, scale)
-        self.loc_net = self.loc_graph.instantiate(dtype=dtype, prefix="tps.loc")
+        self.loc_net = self.loc_graph.instantiate(store, prefix="tps.loc")
         self.base = base_fiducials(num_fiducials)
         self.delta = DeltaFactorization(self.base)
         q, _ = target_pixel_features(self.base, *out_size)
         # source = [C | 0] (Delta^-1)^T Q; the zero columns drop the last three
         # rows of (Delta^-1)^T, leaving one (F, H*W) constant, built in float64.
-        self._grid_map = Tensor((self.delta.inverse.T[:num_fiducials] @ q).astype(dtype))
-
-    def params(self):
-        return self.loc_net.params()
-
-    def bn_states(self):
-        return self.loc_net.bn_states()
+        self._grid_map = Tensor((self.delta.inverse.T[:num_fiducials] @ q).astype(store.dtype))
 
     def reset_head(self):
         """Zero the final FC weights and bias it to the base layout, so the
@@ -189,7 +182,7 @@ class TpsTransformer:
         target = np.arctanh(np.clip(self.base.reshape(-1), -1.0, 1.0)
                             * (1.0 - 1e-12))
         target = np.clip(target, -ATANH_CLAMP, ATANH_CLAMP)
-        fc2.bias.data[...] = target.astype(self.dtype)
+        fc2.bias.data[...] = target
 
     def forward(self, x: Tensor, mode="train") -> Tensor:
         b = x.shape[0]

@@ -13,7 +13,7 @@ from strforge.arch import (
     build_resnet,
     build_vgg,
 )
-from strforge.tensor import Tensor
+from strforge.tensor import ParamStore, Tensor
 
 
 def shapes_of(graph):
@@ -108,8 +108,9 @@ class TestCounts:
     def test_counts_match_instantiated_params(self):
         for name, builder in GRAPHS.items():
             g = builder(scale=0.125)
-            net = g.instantiate(dtype=np.float32)
-            assert net.param_element_count() == g.param_count(), name
+            store = ParamStore(np.float32)
+            g.instantiate(store)
+            assert sum(p.size for p in store.tensors.values()) == g.param_count(), name
 
 
 class TestScaling:
@@ -129,7 +130,7 @@ class TestScaling:
     def test_scaled_forward_shapes(self):
         for name, builder in BUILDERS.items():
             g = builder(scale=0.125)
-            net = g.instantiate(dtype=np.float64)
+            net = g.instantiate(ParamStore(np.float64))
             x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 32, 100)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -149,9 +150,10 @@ class TestScaling:
 class TestRunnable:
     def test_eval_mode_uses_running_stats(self):
         g = build_vgg(scale=0.125)
-        net = g.instantiate(dtype=np.float64)
+        store = ParamStore(np.float64)
+        net = g.instantiate(store)
         rng = np.random.default_rng(1)
-        for p in net.params().values():
+        for p in store.tensors.values():
             p.data[...] = rng.normal(0, 0.05, p.shape)
         x = Tensor(rng.normal(size=(2, 1, 32, 100)))
         net.forward(x, mode="train")
@@ -161,11 +163,12 @@ class TestRunnable:
 
     def test_backward_reaches_all_params(self):
         g = build_rcnn(scale=0.125)
-        net = g.instantiate(dtype=np.float64)
+        store = ParamStore(np.float64)
+        net = g.instantiate(store)
         rng = np.random.default_rng(2)
-        for p in net.params().values():
+        for p in store.tensors.values():
             p.data[...] = rng.normal(0, 0.1, p.shape)
         x = Tensor(rng.normal(size=(1, 1, 32, 100)))
         net.forward(x, mode="train").sum().backward()
-        missing = [k for k, p in net.params().items() if p.grad is None]
+        missing = [k for k, p in store.tensors.items() if p.grad is None]
         assert not missing

@@ -280,7 +280,12 @@ def test_eval_checkpoint_takes_its_config_from_the_header(tmp_path, capsys):
         assert "does not match" in capsys.readouterr().err
 
 
-def test_train_fraction_sweep(tmp_path, capsys):
+def test_train_fraction_sweep(tmp_path, capsys, monkeypatch):
+    # fraction_sweep assembles one model per fraction; the command itself builds none
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("cmd_train assembled a model the sweep does not use")
+
+    monkeypatch.setattr("strforge.cli.assemble", no_assemble)
     out = tmp_path / "sweep"
     code = main(["train", "--pipeline", "None-VGG-None-CTC",
                  "--scale", "0.125", "--iters", "2", "--val-every", "2",

@@ -36,6 +36,8 @@ def test_loss_and_backward_stay_in_model_dtype(name, dtype):
     loss = model.loss(Tensor(np.asarray(data.images, dtype=dtype)), data.labels)
     nodes = graph_nodes(loss)  # backward frees the graph, so walk it first
     assert {id(p) for p in model.params().values()} <= {id(n) for n in nodes}
+    assert ({id(n) for n in nodes if n.requires_grad and n._backward is None}
+            <= {id(p) for p in model.params().values()})
     assert {str(n.dtype) for n in nodes} == {np.dtype(dtype).name}
     emitted = []
 

@@ -1,5 +1,7 @@
 """Tests for configuration parsing, assembly, initialization, and training."""
 
+import hashlib
+import json
 import math
 import os
 
@@ -224,6 +226,23 @@ def test_assemble_all_24_at_small_scale():
         assert model.param_element_count() > 0
 
 
+# SHA-256 of the checkpoint-format contract: for all 24 combinations at scale
+# 1/8, the ordered (name, shape) list of params() and the ordered batch-norm
+# state names. A change here breaks every saved checkpoint.
+PARAMETER_LAYOUT_SHA256 = "dc33054e8739e041cf29364219c0a001296dee1dd5da63d44b0edaa2760e4fa0"
+
+
+def test_parameter_layout_is_pinned():
+    layout = []
+    for cfg in all_combinations(scale=0.125):
+        model = assemble(cfg, initialize=False)
+        layout.append([cfg.name,
+                       [[name, list(p.shape)] for name, p in model.params().items()],
+                       list(model.store.bn_states)])
+    digest = hashlib.sha256(json.dumps(layout).encode()).hexdigest()
+    assert digest == PARAMETER_LAYOUT_SHA256
+
+
 def test_single_step_decreases_loss_on_frozen_batch():
     # One AdaDelta step on a fixed batch lowers the training objective for
     # (at least) 10/10 seeds.
@@ -269,7 +288,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 def test_load_missing_params_raises(tmp_path):
     model = assemble("None-VGG-None-CTC", initialize=True)
     path = tmp_path / "m.bin"
-    params = model.params()
+    params = model.snapshot()
     params.pop("pred.ctc.bias")
     ckpt.save_params(path, params, extra={"config": "None-VGG-None-CTC", "scale": 1.0,
                                           "num_fiducials": 20})

@@ -19,7 +19,7 @@ from strforge.predict import (
     ctc_loss_batch,
     encode_for,
 )
-from strforge.tensor import Tensor, grad_check, log_softmax, softmax
+from strforge.tensor import ParamStore, Tensor, grad_check, log_softmax, softmax
 
 
 def log_uniform(t, c):
@@ -204,10 +204,10 @@ class TestGreedy:
 
 
 def filled_decoder(seed, input_size=6, hidden=5):
-    dec = AttnDecoder(input_size=input_size, hidden_size=hidden,
-                      dtype=np.float64)
+    store = ParamStore(np.float64)
+    dec = AttnDecoder(store, input_size=input_size, hidden_size=hidden)
     rng = np.random.default_rng(seed)
-    for p in dec.params().values():
+    for p in store.tensors.values():
         p.data[...] = rng.normal(0, 0.4, p.shape)
     return dec
 
@@ -274,7 +274,7 @@ class TestAttention:
         assert abs(alpha.data.sum() - 1.0) < 1e-9
 
     def test_eos_bias_empty_decode(self):
-        dec = AttnDecoder(input_size=6, hidden_size=5, dtype=np.float64)
+        dec = AttnDecoder(ParamStore(np.float64), input_size=6, hidden_size=5)
         dec.b_out.data[SPECIAL_INDEX] = 10.0
         h = Tensor(np.random.default_rng(8).normal(size=(1, 4, 6)))
         assert attn_greedy_decode_batch(h, dec) == [""]

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from strforge.pipeline import PipelineConfig, assemble
 from strforge.seqmodel import BiLSTMLayer, BiLSTMStack
-from strforge.tensor import ShapeError, Tensor, lstm_cell
+from strforge.tensor import ParamStore, ShapeError, Tensor, lstm_cell
 
 
 def filled_layer(seed, input_size=8, hidden=4, out=4):
-    layer = BiLSTMLayer("l", input_size, hidden, out, np.float64)
+    store = ParamStore(np.float64)
+    layer = BiLSTMLayer(store, "l", input_size, hidden, out)
     rng = np.random.default_rng(seed)
-    for p in layer.params().values():
+    for p in store.tensors.values():
         p.data[...] = rng.normal(0, 0.3, p.shape)
     return layer
 
@@ -30,19 +31,20 @@ def run_one_direction(direction, steps):
 
 class TestBiLSTM:
     def test_zero_params_zero_output(self):
-        stack = BiLSTMStack(dtype=np.float64)
+        stack = BiLSTMStack(ParamStore(np.float64))
         x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 512)))
         assert np.abs(stack.forward(x).data).max() == 0.0
 
     def test_length_preserved(self):
-        stack = BiLSTMStack(input_size=8, hidden_size=4, output_size=4,
-                            dtype=np.float64)
+        stack = BiLSTMStack(ParamStore(np.float64), input_size=8, hidden_size=4,
+                            output_size=4)
         for i in (1, 3, 7):
             x = Tensor(np.random.default_rng(i).normal(size=(2, i, 8)))
             assert stack.forward(x).shape == (2, i, 4)
 
     def test_empty_sequence_raises(self):
-        stack = BiLSTMStack(input_size=8, hidden_size=4, output_size=4)
+        stack = BiLSTMStack(ParamStore(np.float32), input_size=8, hidden_size=4,
+                            output_size=4)
         with pytest.raises(ShapeError):
             stack.forward(Tensor(np.zeros((2, 0, 8))))
 
@@ -89,7 +91,9 @@ class TestBiLSTM:
         assert np.allclose(out, rev[:, ::-1], atol=1e-12)
 
     def test_param_count_within_10pct_of_2_7m(self):
-        n = BiLSTMStack().param_element_count()
+        store = ParamStore(np.float32)
+        BiLSTMStack(store)
+        n = sum(p.size for p in store.tensors.values())
         assert abs(n - 2.7e6) / 2.7e6 < 0.10
 
     def test_identity_seq(self):

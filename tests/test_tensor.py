@@ -324,16 +324,14 @@ class TestNNOps:
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(12)
-        params = {"a.weight": Tensor(rng.normal(size=(3, 4)).astype(np.float32),
-                                     requires_grad=True),
-                  "b.bias": Tensor(rng.normal(size=7).astype(np.float32),
-                                   requires_grad=True)}
+        params = {"a.weight": rng.normal(size=(3, 4)).astype(np.float32),
+                  "b.bias": rng.normal(size=7).astype(np.float32)}
         path = tmp_path / "ck.bin"
         ckpt.save_params(path, params, extra={"note": "x"})
         loaded, extra = ckpt.load_params(path)
         assert extra["note"] == "x"
         for name, p in params.items():
-            assert loaded[name].tobytes() == p.data.tobytes()
+            assert loaded[name].tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("cut, extra", [(0, 64), (4, 0)])
     def test_payload_length_must_match_header(self, tmp_path, cut, extra):
@@ -358,3 +356,12 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(Exception):
             ckpt.load_params(path)
+
+
+def test_param_store_rejects_duplicate_names():
+    store = tc.ParamStore(np.float32)
+    first = store.new("a.weight", (2, 3))
+    assert first.requires_grad and first.dtype == np.float32
+    with pytest.raises(ValueError, match="duplicate"):
+        store.new("a.weight", (2, 3))
+    assert list(store.tensors) == ["a.weight"] and store.tensors["a.weight"] is first

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strforge.tensor import Tensor
+from strforge.tensor import ParamStore, Tensor
 from strforge.tps import (
     DegenerateFiducialsError,
     DeltaFactorization,
@@ -71,7 +71,7 @@ class TestSolve:
 
 class TestTransformer:
     def test_identity_after_reset_head(self):
-        tr = TpsTransformer(num_fiducials=20, scale=0.125, dtype=np.float64)
+        tr = TpsTransformer(ParamStore(np.float64), num_fiducials=20, scale=0.125)
         tr.reset_head()
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 1, 32, 100)))
@@ -88,7 +88,7 @@ class TestTransformer:
         assert len(d["source"]) == 20
 
     def test_gradient_flows_into_head_bias(self):
-        tr = TpsTransformer(num_fiducials=4, scale=0.125, dtype=np.float64)
+        tr = TpsTransformer(ParamStore(np.float64), num_fiducials=4, scale=0.125)
         tr.reset_head()
         fc2 = tr.loc_net.layers[-1]
         # move the head off the saturated corners so tanh has slope
