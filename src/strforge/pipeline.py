@@ -139,7 +139,7 @@ class Model:
         if cfg.seq == "BiLSTM":
             hidden = self.feat_graph.scaled(256)
             self.seq = BiLSTMStack(self.store, input_size=feat_width, hidden_size=hidden,
-                                   output_size=hidden, name="seq")
+                                   output_size=hidden)
             feat_width = self.seq.output_size
 
         if cfg.pred == "CTC":
@@ -148,8 +148,7 @@ class Model:
             self.attn = None
         else:
             hidden = self.feat_graph.scaled(256)
-            self.attn = AttnDecoder(self.store, input_size=feat_width, hidden_size=hidden,
-                                    name="attn")
+            self.attn = AttnDecoder(self.store, input_size=feat_width, hidden_size=hidden)
 
     # -- parameters --------------------------------------------------------
 

@@ -247,17 +247,17 @@ class AttnDecoder:
     Parameters are created zero-filled in `store`; their dtype is the decoder's.
     """
 
-    def __init__(self, store, input_size=256, hidden_size=256, name="attn"):
+    def __init__(self, store, input_size=256, hidden_size=256):
         self.hidden_size = hidden_size
-        self.w_score = store.new(f"{name}.w_score", (hidden_size, hidden_size))  # W
-        self.v_score = store.new(f"{name}.v_score", (hidden_size, input_size))   # V
-        self.b_score = store.new(f"{name}.b_score", (hidden_size,))              # b
-        self.vec_score = store.new(f"{name}.vec_score", (hidden_size,))          # v
-        self.w_ih = store.new(f"{name}.w_ih", (4 * hidden_size, NUM_CLASSES + input_size))
-        self.w_hh = store.new(f"{name}.w_hh", (4 * hidden_size, hidden_size))
-        self.b_lstm = store.new(f"{name}.b_lstm", (4 * hidden_size,))
-        self.w_out = store.new(f"{name}.w_out", (NUM_CLASSES, hidden_size))
-        self.b_out = store.new(f"{name}.b_out", (NUM_CLASSES,))
+        self.w_score = store.new("attn.w_score", (hidden_size, hidden_size))  # W
+        self.v_score = store.new("attn.v_score", (hidden_size, input_size))   # V
+        self.b_score = store.new("attn.b_score", (hidden_size,))              # b
+        self.vec_score = store.new("attn.vec_score", (hidden_size,))          # v
+        self.w_ih = store.new("attn.w_ih", (4 * hidden_size, NUM_CLASSES + input_size))
+        self.w_hh = store.new("attn.w_hh", (4 * hidden_size, hidden_size))
+        self.b_lstm = store.new("attn.b_lstm", (4 * hidden_size,))
+        self.w_out = store.new("attn.w_out", (NUM_CLASSES, hidden_size))
+        self.b_out = store.new("attn.b_out", (NUM_CLASSES,))
 
     def init_state(self, batch):
         h = Tensor(np.zeros((batch, self.hidden_size), dtype=self.b_out.dtype))

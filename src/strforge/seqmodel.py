@@ -49,11 +49,10 @@ class BiLSTMLayer:
 class BiLSTMStack:
     """Two stacked bidirectional layers, each with its FC projection."""
 
-    def __init__(self, store, input_size=512, hidden_size=256, output_size=256,
-                 name="seq"):
+    def __init__(self, store, input_size=512, hidden_size=256, output_size=256):
         self.layers = [
-            BiLSTMLayer(store, f"{name}.layer1", input_size, hidden_size, output_size),
-            BiLSTMLayer(store, f"{name}.layer2", output_size, hidden_size, output_size),
+            BiLSTMLayer(store, "seq.layer1", input_size, hidden_size, output_size),
+            BiLSTMLayer(store, "seq.layer2", output_size, hidden_size, output_size),
         ]
         self.output_size = output_size
 

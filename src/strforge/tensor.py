@@ -377,12 +377,6 @@ def conv_output_size(size, kernel, stride, padding, floor=False):
     return num // stride + 1
 
 
-def _windows(data, kh, kw, sh, sw):
-    # (N, C, H', W', kh, kw) view of all pooling/conv windows
-    v = np.lib.stride_tricks.sliding_window_view(data, (kh, kw), axis=(-2, -1))
-    return v[:, :, ::sh, ::sw]
-
-
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights.
 
@@ -414,7 +408,7 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
         if ph or pw:
             xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
             xp[:, :, ph:ph + h, pw:pw + w] = x.data
-        win = _windows(xp, kh, kw, sh, sw)  # (N, C, Ho, Wo, kh, kw) view
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
         col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, -1, ho * wo)
     wmat = weight.data.reshape(c_out, -1)
     out_data = (wmat @ col).reshape(n, c_out, ho, wo)
@@ -455,12 +449,15 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     """Window maximum; padded cells count as -inf, ties route to the first index.
 
     Output size floors when the last window does not fit (trailing rows or
-    columns are dropped, as is conventional for pooling).
+    columns are dropped, as is conventional for pooling). The forward is a
+    running maximum over the kh*kw strided kernel-cell views; the backward
+    gives each output's gradient to the first cell, in row-major order, that
+    equals the maximum. A NaN in a window makes it NaN and drops its gradient.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride if stride is not None else kernel)
     ph, pw = _pair(padding)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     ho = conv_output_size(h, kh, sh, ph, floor=True)
     wo = conv_output_size(w, kw, sw, pw, floor=True)
 
@@ -468,20 +465,23 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
         xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
     else:
         xp = x.data
-    win = _windows(xp, kh, kw, sh, sw).reshape(n, c, ho, wo, kh * kw)
-    arg = np.argmax(win, axis=-1)
-    out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    cells = [(..., slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
+             for i in range(kh) for j in range(kw)]
+    out_data = xp[cells[0]].copy()
+    for cell in cells[1:]:
+        np.maximum(xp[cell], out_data, out=out_data)  # a tie keeps out_data, the earlier cell
 
     def backward(g):
         gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                mask = arg == (i * kw + j)
-                gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += np.where(mask, g, 0.0)
+        free = np.ones(out_data.shape, dtype=bool)  # outputs whose gradient is unclaimed
+        for cell in cells:
+            hit = (xp[cell] == out_data) & free
+            free ^= hit
+            gxp[cell] += g * hit
         gx = gxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else gxp
         return (gx,)
 
-    return Tensor._make(np.ascontiguousarray(out_data), (x,), backward)
+    return Tensor._make(out_data, (x,), backward)
 
 
 # -- batch normalization ---------------------------------------------------------

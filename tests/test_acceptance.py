@@ -211,7 +211,7 @@ def test_criterion_4_gradient_suite():
 
     # attention loss over the encoder states and the output bias
     dec_store = ParamStore(np.float64)
-    dec = AttnDecoder(dec_store, input_size=4, hidden_size=4, name="attn")
+    dec = AttnDecoder(dec_store, input_size=4, hidden_size=4)
     for name, p in dec_store.tensors.items():
         p.data[...] = rng.normal(0, 0.4, p.shape)
     hseq = t64((1, 3, 4), scale=0.5)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 import weakref
 
@@ -42,6 +43,33 @@ def naive_maxpool2d(x, kernel, stride, padding):
         for j in range(wo):
             out[:, :, i, j] = xp[:, :, i * sh:i * sh + kh, j * sw:j * sw + kw].max(axis=(2, 3))
     return out
+
+
+def naive_maxpool2d_grad(x, g, kernel, stride, padding):
+    """Input gradient by loops: each output's gradient goes to the first maximal
+    cell of its window in row-major order."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
+    gxp = np.zeros_like(xp)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    win = xp[b, ch, i * sh:i * sh + kh, j * sw:j * sw + kw]
+                    di, dj = divmod(int(np.argmax(win == win.max())), kw)
+                    gxp[b, ch, i * sh + di, j * sw + dj] += g[b, ch, i, j]
+    return gxp[:, :, ph:ph + h, pw:pw + wd]
+
+
+# (kernel, stride, padding) of every pool the layer tables use, then an
+# overlapping 3x3 pool, which none uses.
+POOL_CASES = [
+    ((2, 2), (2, 2), (0, 0)),
+    ((2, 1), (2, 1), (0, 0)),
+    ((2, 2), (2, 1), (0, 1)),
+    ((3, 3), (1, 1), (1, 1)),
+]
 
 
 # (input, weight, stride, padding) of the conv shapes the backbones use:
@@ -178,6 +206,43 @@ class TestNNOps:
     def test_maxpool_floor_semantics(self):
         x = Tensor(rand((1, 1, 5, 25), 4))
         assert tc.maxpool2d(x, (2, 2), stride=(2, 2)).shape == (1, 1, 2, 12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel, stride, padding", POOL_CASES)
+    def test_maxpool_ties_match_loops(self, kernel, stride, padding, dtype):
+        # steps of 0.25 make most windows tie; odd sizes exercise the floor
+        x = (np.round(rand((2, 3, 7, 9), 21) * 4) / 4).astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = tc.maxpool2d(xt, kernel, stride, padding)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, naive_maxpool2d(x, kernel, stride, padding))
+        # quantized too, so overlapping windows sum exactly in any order
+        g = (np.round(rand(out.shape, 22) * 4) / 4).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        assert xt.grad.dtype == dtype
+        assert np.array_equal(xt.grad, naive_maxpool2d_grad(x, g, kernel, stride, padding))
+
+    def test_maxpool_nan_window_outputs_nan(self):
+        x = rand((1, 1, 4, 4), 23)
+        x[0, 0, 1, 2] = np.nan
+        x = Tensor(x, requires_grad=True)
+        out = tc.maxpool2d(x, (2, 2))
+        assert np.isnan(out.data[0, 0, 0, 1])
+        assert np.isfinite(np.delete(out.data.ravel(), 1)).all()
+        out.sum().backward()
+        # the NaN window's gradient is dropped; the other windows route theirs
+        assert x.grad[0, 0, :2, 2:].sum() == 0.0 and x.grad.sum() == 3.0
+
+    def test_maxpool_forward_allocates_about_its_output(self):
+        # no (N, C, Ho, Wo, kh*kw) window array: the peak stays near the output
+        x = Tensor(rand((32, 8, 32, 100), 24).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = tc.maxpool2d(x, (2, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.data.nbytes
 
     def test_batchnorm_train_grad(self):
         x = Tensor(rand((4, 3, 2, 2), 5), requires_grad=True)
