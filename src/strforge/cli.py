@@ -80,7 +80,11 @@ def cmd_train(args):
                          fraction=args.fraction, seed=args.seed,
                          stop_accuracy=args.stop_accuracy)
     if args.fractions:
-        fracs = [float(f) for f in args.fractions.split(",")]
+        try:
+            fracs = [float(f) for f in args.fractions.split(",")]
+        except ValueError:
+            raise ConfigError("--fractions must be a comma list of numbers, "
+                              f"got {args.fractions!r}") from None
         table = fraction_sweep(cfg, recipe, fracs, tr, va)
         with open(os.path.join(args.out, "fraction_sweep.csv"), "w") as fh:
             fh.write("fraction,val_accuracy\n")
@@ -188,10 +192,12 @@ def cmd_describe(args):
             fh.write(text + "\n")
         if args.tps and model.tps is not None:
             from .tps import generate_grid, solve_transform
+            h, w = model.tps.out_size
             transform = solve_transform(model.tps.base, model.tps.delta)
-            grid = generate_grid(transform, model.tps.delta, 32, 100)
+            target, source = generate_grid(transform, model.tps.delta, h, w)
             with open(os.path.join(args.out, "tps_grid.json"), "w") as fh:
-                json.dump(grid.to_json_dict(), fh)
+                json.dump({"height": h, "width": w, "target": target.T.tolist(),
+                           "source": source.T.tolist()}, fh)
     return EXIT_OK
 
 

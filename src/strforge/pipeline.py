@@ -367,6 +367,8 @@ class TrainRecipe:
         for name in ("batch_size", "iterations", "val_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 < self.fraction <= 1.0:
+            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
 
 
 @dataclass
@@ -400,8 +402,6 @@ def validate(model: Model, images, labels, batch_size: int = 64) -> float:
 
 def _training_indices(n: int, fraction: float, seed: int) -> np.ndarray:
     """Deterministic prefix of a seeded shuffle; fraction 1.0 keeps all."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     perm = np.random.default_rng(seed).permutation(n)
     keep = max(1, math.ceil(fraction * n))
     return perm[:keep]
@@ -459,11 +459,13 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
 
 def fraction_sweep(cfg: PipelineConfig, recipe: TrainRecipe, fractions,
                    train_set, val_set):
-    """Train one model per dataset fraction; returns [(fraction, accuracy)]."""
+    """Train one model per dataset fraction; returns [(fraction, accuracy)].
+
+    Every fraction's recipe is built, and so checked, before any training.
+    """
+    recipes = [replace(recipe, fraction=float(frac)) for frac in fractions]
     table = []
-    for frac in fractions:
-        model = assemble(cfg)
-        result = train(model, replace(recipe, fraction=float(frac)),
-                       train_set, val_set)
-        table.append((float(frac), result.best_accuracy))
+    for r in recipes:
+        result = train(assemble(cfg), r, train_set, val_set)
+        table.append((r.fraction, result.best_accuracy))
     return table

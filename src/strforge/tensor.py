@@ -315,27 +315,26 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def logsumexp(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(x))) along `axis`, safe for -inf entries (empty sums stay -inf)."""
+def logsumexp(x: Tensor, axis: int) -> Tensor:
+    """log(sum(exp(x))) along `axis`, kept as a size-1 axis; safe for -inf
+    entries (empty sums stay -inf)."""
     m = np.max(x.data, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(x.data - m_safe)
     s = e.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        out = np.log(s) + m_safe
-    out_data = out if keepdims else np.squeeze(out, axis=axis)
+        out_data = np.log(s) + m_safe
 
     def backward(g):
-        g2 = g if keepdims else np.expand_dims(g, axis)
         with np.errstate(invalid="ignore"):
             soft = np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
-        return (g2 * soft,)
+        return (g * soft,)
 
     return Tensor._make(out_data, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x - logsumexp(x, axis=axis, keepdims=True)
+    return x - logsumexp(x, axis=axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

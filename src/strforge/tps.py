@@ -13,10 +13,7 @@ is d^2 ln d with the continuous-limit convention 0 ln 0 := 0.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import tensor as tc
 from .arch import build_localization_net
@@ -41,44 +38,43 @@ def base_fiducials(num_points):
     return np.concatenate([top, bottom], axis=1)
 
 
-def _radial(dist2):
-    # d^2 ln d = 0.5 * d^2 ln d^2; zero at d == 0
+def tps_features(base_points, points):
+    """TPS feature columns of (2, n) points against the F base points.
+
+    Returns an (F+3, n) array whose column i is [1, x_i, y_i, r_i1, ..., r_iF]
+    with r_ij = d^2 ln d, d = |p_i - c_j|.
+    """
+    base_points = np.asarray(base_points, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    diff = base_points[:, :, None] - points[:, None, :]
+    dist2 = (diff ** 2).sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = 0.5 * dist2 * np.log(dist2)
-    return np.where(dist2 > 0.0, r, 0.0)
-
-
-def _pairwise_radial(points_a, points_b):
-    """Radial kernel matrix between two (2, n) point sets."""
-    diff = points_a[:, :, None] - points_b[:, None, :]
-    return _radial((diff ** 2).sum(axis=0))
+        radial = 0.5 * dist2 * np.log(dist2)  # d^2 ln d = 0.5 d^2 ln d^2
+    return np.concatenate([np.ones((1, points.shape[1])), points,
+                           np.where(dist2 > 0.0, radial, 0.0)])
 
 
 class DeltaFactorization:
-    """The constant (F+3) x (F+3) system for a base layout, with its LU form."""
+    """The constant (F+3) x (F+3) system for a base layout, with its inverse."""
 
     def __init__(self, base_points):
         base_points = np.asarray(base_points, dtype=np.float64)
         if base_points.ndim != 2 or base_points.shape[0] != 2:
             raise ValueError(f"base points must be (2, F), got {base_points.shape}")
+        if not np.isfinite(base_points).all():
+            raise ValueError("base points must be finite")
         f = base_points.shape[1]
         self.base_points = base_points
-        self.size = f + 3
+        q = tps_features(base_points, base_points)
         delta = np.zeros((f + 3, f + 3))
-        delta[:f, 0] = 1.0
-        delta[:f, 1:3] = base_points.T
-        delta[:f, 3:] = _pairwise_radial(base_points, base_points)
-        delta[f, 3:] = 1.0
-        delta[f + 1:, 3:] = base_points
+        delta[:f] = q.T
+        delta[f:, 3:] = q[:3]
         self.delta = delta
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # singular matrices are reported below
-            self.lu, self.piv = lu_factor(delta, check_finite=True)
-        diag = np.abs(np.diag(self.lu))
-        if diag.min() < 1e-10 * max(diag.max(), 1.0):
+        sv = np.linalg.svd(delta, compute_uv=False)
+        if sv[-1] < 1e-10 * sv[0]:
             raise DegenerateFiducialsError(
                 "fiducial system is singular (duplicated or degenerate base points)")
-        self.inverse = lu_solve((self.lu, self.piv), np.eye(f + 3))
+        self.inverse = np.linalg.inv(delta)
 
     @property
     def num_fiducials(self):
@@ -86,70 +82,31 @@ class DeltaFactorization:
 
 
 def solve_transform(pred_points, delta: DeltaFactorization):
-    """T = (Delta^-1 [C^T; 0_{3x2}])^T, a (2, F+3) matrix."""
+    """T = [C | 0_{2x3}] Delta^-T = C (Delta^-T)[:F], a (2, F+3) matrix."""
     pred_points = np.asarray(pred_points, dtype=np.float64)
     f = delta.num_fiducials
     if pred_points.shape != (2, f):
         raise ValueError(f"predicted points must be (2, {f}), got {pred_points.shape}")
-    rhs = np.concatenate([pred_points.T, np.zeros((3, 2))], axis=0)
-    return lu_solve((delta.lu, delta.piv), rhs).T
+    return pred_points @ delta.inverse.T[:f]
 
 
-def target_pixel_features(base_points, height, width):
-    """Augmented feature matrix Q of shape (F+3, H*W) for all target pixels.
+def generate_grid(transform, delta: DeltaFactorization, height, width):
+    """Map every target pixel through the transform: p_i = T q_i.
 
-    Column i is [1, x_i, y_i, r_i1, ..., r_iF] for target pixel i in row-major
-    (y, x) order.
+    Returns the (2, H*W) target pixel centres on the normalized image, in
+    row-major (y, x) order, and their (2, H*W) source coordinates.
     """
-    base_points = np.asarray(base_points, dtype=np.float64)
-    xs = np.linspace(-1.0, 1.0, width)
-    ys = np.linspace(-1.0, 1.0, height)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.reshape(-1), gy.reshape(-1)])  # (2, N)
-    n = pts.shape[1]
-    q = np.zeros((base_points.shape[1] + 3, n))
-    q[0] = 1.0
-    q[1:3] = pts
-    q[3:] = _pairwise_radial(base_points, pts)
-    return q, pts
-
-
-class WarpGrid:
-    """Paired target pixels (on the normalized image) and source coordinates."""
-
-    def __init__(self, target, source, height, width):
-        self.target = target    # (2, N)
-        self.source = source    # (2, N)
-        self.height = height
-        self.width = width
-
-    def to_json_dict(self):
-        return {
-            "height": self.height,
-            "width": self.width,
-            "target": self.target.T.tolist(),
-            "source": self.source.T.tolist(),
-        }
-
-
-def generate_grid(transform, delta: DeltaFactorization, height, width) -> WarpGrid:
-    """Map every target pixel through the transform: p_i = T q_i."""
-    q, targets = target_pixel_features(delta.base_points, height, width)
-    source = np.asarray(transform) @ q
+    gx, gy = np.meshgrid(np.linspace(-1.0, 1.0, width), np.linspace(-1.0, 1.0, height))
+    target = np.stack([gx.reshape(-1), gy.reshape(-1)])
+    source = warp_points(transform, delta.base_points, target)
     if not np.isfinite(source).all():
         raise ValueError("warp grid contains non-finite coordinates")
-    return WarpGrid(targets, source, height, width)
+    return target, source
 
 
 def warp_points(transform, base_points, points):
     """Apply the TPS map to arbitrary (2, n) probe points."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[1]
-    q = np.zeros((np.asarray(base_points).shape[1] + 3, n))
-    q[0] = 1.0
-    q[1:3] = points
-    q[3:] = _pairwise_radial(np.asarray(base_points, dtype=np.float64), points)
-    return np.asarray(transform) @ q
+    return np.asarray(transform) @ tps_features(base_points, points)
 
 
 ATANH_CLAMP = 18.0  # tanh(18) == 1 to float32 precision; keeps head biases finite
@@ -169,10 +126,11 @@ class TpsTransformer:
         self.loc_net = self.loc_graph.instantiate(store, prefix="tps.loc")
         self.base = base_fiducials(num_fiducials)
         self.delta = DeltaFactorization(self.base)
-        q, _ = target_pixel_features(self.base, *out_size)
-        # source = [C | 0] (Delta^-1)^T Q; the zero columns drop the last three
-        # rows of (Delta^-1)^T, leaving one (F, H*W) constant, built in float64.
-        self._grid_map = Tensor((self.delta.inverse.T[:num_fiducials] @ q).astype(store.dtype))
+        # solve_transform(C) is C (Delta^-T)[:F], so the sampling grid is C M with
+        # M = (Delta^-T)[:F] Q: the grid of that (F, F+3) map, built in float64.
+        _, grid_map = generate_grid(self.delta.inverse.T[:num_fiducials], self.delta,
+                                    *out_size)
+        self._grid_map = Tensor(grid_map.astype(store.dtype))
 
     def reset_head(self):
         """Zero the final FC weights and bias it to the base layout, so the

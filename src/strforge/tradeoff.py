@@ -15,16 +15,27 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
+from .evalkit import IRREGULAR, REGULAR, UNIFIED_COMPOSITION
 from .pipeline import FEAT_OPTIONS, PRED_OPTIONS, SEQ_OPTIONS, TRANS_OPTIONS
-
-REGULAR_WEIGHTS = {"iiit": 3000, "svt": 647, "ic03_867": 867, "ic13_1015": 1015}
-IRREGULAR_WEIGHTS = {"ic15_2077": 2077, "sp": 645, "ct": 288}
 
 STAGES = ("trans", "feat", "seq", "pred")
 
 _FLOAT_COLS = ("iiit", "svt", "ic03_860", "ic03_867", "ic13_857", "ic13_1015",
                "ic15_1811", "ic15_2077", "sp", "ct", "total", "time_ms",
                "params_m", "flops_g")
+
+
+def _unified_columns(datasets):
+    """Fixture column -> unified subset size, e.g. {"iiit": 3000, "ic03_867": 867}."""
+    cols = {}
+    for d in datasets:
+        sized = f"{d.lower()}_{UNIFIED_COMPOSITION[d]}"
+        cols[sized if sized in _FLOAT_COLS else d.lower()] = UNIFIED_COMPOSITION[d]
+    return cols
+
+
+REGULAR_WEIGHTS = _unified_columns(REGULAR)
+IRREGULAR_WEIGHTS = _unified_columns(IRREGULAR)
 
 
 @dataclass(frozen=True)

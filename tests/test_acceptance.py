@@ -130,8 +130,8 @@ def test_criterion_3_tps_correctness():
     # identity: predicted fiducials equal the base layout
     base = base_fiducials(20)
     delta = DeltaFactorization(base)
-    grid = generate_grid(solve_transform(base, delta), delta, 32, 100)
-    assert np.abs(grid.source - grid.target).max() < 1e-9
+    target, source = generate_grid(solve_transform(base, delta), delta, 32, 100)
+    assert np.abs(source - target).max() < 1e-9
 
     # affine subsumption: an affine displacement yields an affine warp
     base8 = base_fiducials(8)

@@ -299,6 +299,32 @@ def test_train_fraction_sweep(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fractions", ["0.5,x", "0.5,1.5"])
+def test_train_bad_fractions_exit_2_before_training(tmp_path, capsys, monkeypatch,
+                                                   fractions):
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("a model was assembled before every fraction was checked")
+
+    monkeypatch.setattr("strforge.cli.assemble", no_assemble)
+    monkeypatch.setattr("strforge.pipeline.assemble", no_assemble)
+    code = main(["train", "--pipeline", "None-VGG-None-CTC", "--scale", "0.125",
+                 "--iters", "2", "--batch", "8", "--train-size", "16",
+                 "--val-size", "8", "--fractions", fractions,
+                 "--out", str(tmp_path / "sweep")])
+    assert code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_describe_tps_runs_without_scipy(tmp_path):
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from strforge.cli import main; "
+              "sys.exit(main(['describe', '--pipeline', 'TPS-VGG-None-CTC', "
+              f"'--scale', '0.125', '--tps', '--out', {str(tmp_path)!r}]))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "tps_grid.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # console script
 # ---------------------------------------------------------------------------

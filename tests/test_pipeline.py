@@ -330,7 +330,7 @@ def test_training_indices_fraction():
     assert len(idx_half) == 50
     assert np.array_equal(idx_half, idx_full[:50])  # a prefix of the same shuffle
     with pytest.raises(ConfigError):
-        _training_indices(100, 0.0, seed=4)
+        TrainRecipe(fraction=0.0)
 
 
 def test_train_logs_and_keeps_best(tmp_path):

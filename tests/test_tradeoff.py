@@ -32,6 +32,14 @@ def rows():
 # ---------------------------------------------------------------------------
 
 
+def test_unified_weights_follow_evalkit():
+    # the unified composition's fixture columns, in evalkit's dataset order
+    assert list(REGULAR_WEIGHTS.items()) == [("iiit", 3000), ("svt", 647),
+                                             ("ic03_867", 867), ("ic13_1015", 1015)]
+    assert list(IRREGULAR_WEIGHTS.items()) == [("ic15_2077", 2077), ("sp", 645),
+                                               ("ct", 288)]
+
+
 def test_fixture_shape(rows):
     assert len(rows) == 24
     assert sorted(r.id for r in rows) == list(range(1, 25))
