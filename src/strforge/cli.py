@@ -268,10 +268,11 @@ def build_parser():
     t.add_argument("--batch", type=int, default=32, help="batch size")
     t.add_argument("--iters", type=int, default=3000, help="iteration budget")
     t.add_argument("--val-every", type=int, default=200, help="validation interval")
-    t.add_argument("--fraction", type=float, default=1.0,
-                   help="training-set fraction in (0,1]")
-    t.add_argument("--fractions", default=None,
-                   help="comma list for a fraction sweep, e.g. 0.2,0.4,1.0")
+    frac = t.add_mutually_exclusive_group()
+    frac.add_argument("--fraction", type=float, default=1.0,
+                      help="training-set fraction in (0,1]")
+    frac.add_argument("--fractions", default=None,
+                      help="comma list for a fraction sweep, e.g. 0.2,0.4,1.0")
     t.add_argument("--train-size", type=int, default=2000, help="synthetic set size")
     t.add_argument("--val-size", type=int, default=200, help="validation set size")
     t.add_argument("--max-len", type=int, default=5, help="max label length")

@@ -32,7 +32,7 @@ from .predict import (
     ctc_loss_batch,
 )
 from .seqmodel import BiLSTMStack
-from .tensor import ParamStore, Tensor, log_softmax, matmul
+from .tensor import ParamStore, Tensor, log_softmax, matmul, no_grad
 from .tps import TpsTransformer
 from .toydata import synth_toydata  # re-exported: the pipeline's data source
 
@@ -200,12 +200,17 @@ class Model:
         return attn_loss_batch(self.features(x, mode), encoded, self.attn)
 
     def decode(self, x: Tensor, max_len: int = 25):
-        """Greedy predictions for a batch of images, at most max_len characters each."""
-        if self.attn is None:
-            lp = self.frame_log_probs(x, mode="eval")
-            return [ctc_greedy_decode(lp.data[i])[:max_len] for i in range(lp.shape[0])]
-        h = self.features(x, mode="eval")
-        return attn_greedy_decode_batch(h, self.attn, max_len=max_len)
+        """Greedy predictions for a batch of images, at most max_len characters each.
+
+        Runs under ``no_grad``: no autograd graph is built, so every
+        intermediate is freed as soon as nothing refers to it.
+        """
+        with no_grad():
+            if self.attn is None:
+                lp = self.frame_log_probs(x, mode="eval")
+                return [ctc_greedy_decode(lp.data[i])[:max_len] for i in range(lp.shape[0])]
+            h = self.features(x, mode="eval")
+            return attn_greedy_decode_batch(h, self.attn, max_len=max_len)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -10,9 +10,19 @@ on a scalar walks the graph once in reverse topological order and
 accumulates gradients additively into the leaves it reaches (tensors no op
 produced, such as parameters, with ``requires_grad`` set). A graph serves one
 backward: each node releases its parents and closure once its closure has run.
+``backward`` on a tensor that does not require a gradient (a constant, or a
+result built under ``no_grad``) raises ``StateError``.
+
+Inside a ``with no_grad():`` block every op computes the same values but
+records nothing: its output has ``requires_grad`` unset and no parents or
+closure, so each intermediate is freed as soon as nothing refers to it. The
+block nests and restores the previous state on exit, also on an exception.
+Inference (``Model.decode``) runs under it.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -51,6 +61,23 @@ def _unbroadcast(grad, shape):
 
 def _freed(g):
     raise RuntimeError("backward through a graph that an earlier backward already used")
+
+
+_recording = True  # cleared inside no_grad(): ops build no graph
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph; the previous state returns on exit.
+
+    The state is process-wide, not per thread.
+    """
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
 
 
 class Tensor:
@@ -97,7 +124,7 @@ class Tensor:
     def _make(data, parents, backward):
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _recording and any(p.requires_grad for p in parents)
         out.grad = None
         if out.requires_grad:
             out._parents = tuple(parents)
@@ -113,8 +140,12 @@ class Tensor:
         Only leaves receive ``.grad``; it accumulates across graphs until
         ``zero_grad``. The graph serves this one backward: each node drops its
         parents and closure once its closure has run, so a second backward
-        through it raises.
+        through it raises. A tensor that does not require a gradient (a
+        constant, or a result built under ``no_grad``) raises ``StateError``.
         """
+        if not self.requires_grad:
+            raise StateError("backward() on a tensor that does not require a gradient "
+                             "(a constant, or a result built under no_grad)")
         if grad is None:
             if self.size != 1:
                 raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")

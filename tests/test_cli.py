@@ -315,6 +315,22 @@ def test_train_bad_fractions_exit_2_before_training(tmp_path, capsys, monkeypatc
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_fraction_and_fractions_conflict_exits_2(tmp_path, capsys, monkeypatch):
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("a model was assembled for conflicting fraction flags")
+
+    monkeypatch.setattr("strforge.cli.assemble", no_assemble)
+    monkeypatch.setattr("strforge.pipeline.assemble", no_assemble)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--pipeline", "None-VGG-None-CTC", "--scale", "0.125",
+              "--iters", "2", "--batch", "8", "--train-size", "16", "--val-size", "8",
+              "--fraction", "0.5", "--fractions", "0.5,1.0",
+              "--out", str(tmp_path / "sweep")])
+    assert exc.value.code == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_describe_tps_runs_without_scipy(tmp_path):
     script = ("import sys; sys.modules['scipy'] = None; "
               "from strforge.cli import main; "

@@ -23,9 +23,11 @@ from strforge.pipeline import (
     fraction_sweep,
     he_init,
     train,
+    validate,
     _training_indices,
 )
 from strforge import checkpoint as ckpt
+from strforge.predict import attn_greedy_decode_batch, ctc_greedy_decode
 from strforge.tensor import Tensor
 from strforge.toydata import ToyDataset, synth_toydata
 
@@ -430,3 +432,55 @@ def test_training_determinism_bit_identical():
     for k in snap1:
         assert np.array_equal(snap1[k], snap2[k])
 
+
+# ---------------------------------------------------------------------------
+# inference builds no graph
+# ---------------------------------------------------------------------------
+
+
+def test_decode_records_no_graph_and_training_still_does(monkeypatch):
+    model = assemble(PipelineConfig.from_string("TPS-ResNet-BiLSTM-Attn", scale=0.125))
+    data = synth_toydata(4, max_len=3, seed=0)
+    x = Tensor(data.images)
+    model.loss(x, data.labels)  # a train-mode forward fills the BN statistics
+    made = []
+    make = Tensor._make
+
+    def spy(data, parents, backward):
+        out = make(data, parents, backward)
+        made.append(out.requires_grad or bool(out._parents) or out._backward is not None)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+    model.decode(x)
+    validate(model, data.images, data.labels)
+    assert made and not any(made)
+    monkeypatch.undo()
+
+    params = model.params()
+    assert all(p.requires_grad for p in params.values())
+    for p in params.values():
+        p.zero_grad()
+    model.loss(x, data.labels).backward()
+    missing = [name for name, p in params.items()
+               if p.grad is None or not np.all(np.isfinite(p.grad))]
+    assert not missing
+
+
+def test_decode_matches_a_graph_building_forward_on_all_24():
+    # BN-filled models at scale 1/8, float32, batch 32: decode under no_grad
+    # gives exactly the strings of greedy decoding on a recorded eval forward
+    fill = synth_toydata(8, max_len=3, seed=3)
+    images = Tensor(synth_toydata(32, max_len=5, seed=4).images)
+    for cfg in all_combinations(scale=0.125):
+        model = assemble(cfg)
+        model.loss(Tensor(fill.images), fill.labels)
+        if model.attn is None:
+            lp = model.frame_log_probs(images, mode="eval")
+            assert lp.requires_grad
+            want = [ctc_greedy_decode(lp.data[i])[:25] for i in range(lp.shape[0])]
+        else:
+            h = model.features(images, mode="eval")
+            assert h.requires_grad
+            want = attn_greedy_decode_batch(h, model.attn, max_len=25)
+        assert model.decode(images) == want, cfg.name

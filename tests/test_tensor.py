@@ -155,6 +155,60 @@ class TestAutodiffBasics:
         s = tc.softmax(Tensor(rand((5, 7), 8)), axis=1)
         assert np.allclose(s.data.sum(axis=1), 1.0)
 
+    def test_backward_on_a_constant_raises(self):
+        c = Tensor(rand((3,), 1)).sum()
+        with pytest.raises(tc.StateError, match="does not require a gradient"):
+            c.backward()
+        assert c.grad is None
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        x = Tensor(rand((3, 4), 1), requires_grad=True)
+        w = Tensor(rand((4, 2), 2), requires_grad=True)
+        recorded = tc.tanh(tc.matmul(x, w))
+        with tc.no_grad():
+            y = tc.tanh(tc.matmul(x, w))
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert np.array_equal(y.data, recorded.data)
+        assert x.requires_grad and w.requires_grad  # leaves keep their flag
+
+    def test_backward_of_a_no_grad_result_raises(self):
+        x = Tensor(rand((3, 4), 1), requires_grad=True)
+        with tc.no_grad():
+            loss = (x * x).sum()
+        with pytest.raises(tc.StateError, match="no_grad"):
+            loss.backward()
+        assert x.grad is None
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        x = Tensor(rand((2,), 1), requires_grad=True)
+        with tc.no_grad():
+            with tc.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+
+    def test_an_exception_inside_the_block_restores_recording(self):
+        x = Tensor(rand((2,), 1), requires_grad=True)
+        with pytest.raises(ZeroDivisionError):
+            with tc.no_grad():
+                1 / 0
+        y = (x * 3.0).sum()
+        assert y.requires_grad
+        y.backward()
+        assert np.allclose(x.grad, 3.0)
+
+    def test_intermediates_are_freed_at_once(self):
+        x = Tensor(rand((3, 4), 1), requires_grad=True)
+        with tc.no_grad():
+            mid = tc.tanh(x * 2.0)
+            freed = weakref.ref(mid.data)
+            out = (mid * mid).sum()
+            del mid
+            assert freed() is None  # nothing holds the activation
+        assert np.isclose(out.item(), (np.tanh(2.0 * x.data) ** 2).sum())
+
 
 class TestNNOps:
     def test_conv2d_grad(self):
