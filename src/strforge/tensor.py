@@ -407,6 +407,9 @@ def conv_output_size(size, kernel, stride, padding, floor=False):
     return num // stride + 1
 
 
+_COL_CHUNK_BYTES = 1 << 21  # im2col patches built at a time when no graph is recorded
+
+
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights.
 
@@ -415,7 +418,9 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     ``W(Cout, C*kh*kw) @ col`` is already NCHW. A 1x1 stride-1 unpadded conv
     uses the input itself as ``col``. The backward reuses ``col`` for the
     weight gradient, and scatters ``W^T @ g`` back onto the input (col2im)
-    with kh*kw contiguous slice-adds over the flattened padded input.
+    with kh*kw contiguous slice-adds over the flattened padded input. With no
+    graph to record, ``col`` is built a few images at a time instead, so the
+    patch buffer stays under ``_COL_CHUNK_BYTES`` whatever the batch size.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OIHW weight, got {x.shape}, {weight.shape}")
@@ -431,17 +436,33 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     wo = conv_output_size(w, kw, sw, pw)
     pointwise = kh == kw == sh == sw == 1 and not (ph or pw)
 
+    wmat = weight.data.reshape(c_out, -1)
     if pointwise:
         col = x.data.reshape(n, c_in, h * w)
+        out_data = (wmat @ col).reshape(n, c_out, ho, wo)
     else:
         xp = x.data
         if ph or pw:
             xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
             xp[:, :, ph:ph + h, pw:pw + w] = x.data
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, -1, ho * wo)
-    wmat = weight.data.reshape(c_out, -1)
-    out_data = (wmat @ col).reshape(n, c_out, ho, wo)
+
+        def im2col(a, b):
+            return np.ascontiguousarray(win[a:b].transpose(0, 1, 4, 5, 2, 3)).reshape(b - a, -1, ho * wo)
+
+        if _recording and (x.requires_grad or weight.requires_grad):
+            col = im2col(0, n)  # the backward needs every image's patches
+            out_data = (wmat @ col).reshape(n, c_out, ho, wo)
+        else:
+            # No graph: patches of a few images at a time, at most _COL_CHUNK_BYTES,
+            # so the transient does not grow with the batch. The per-image
+            # products are the same ones the whole-batch matmul makes.
+            out_data = np.empty((n, c_out, ho * wo), dtype=np.result_type(wmat, xp))
+            step = max(1, _COL_CHUNK_BYTES // (c_in * kh * kw * ho * wo * xp.itemsize))
+            for a in range(0, n, step):
+                b = min(n, a + step)
+                np.matmul(wmat, im2col(a, b), out=out_data[a:b])
+            out_data = out_data.reshape(n, c_out, ho, wo)
 
     def backward(g):
         gm = g.reshape(n, c_out, ho * wo)

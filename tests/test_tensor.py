@@ -209,6 +209,33 @@ class TestNoGrad:
             assert freed() is None  # nothing holds the activation
         assert np.isclose(out.item(), (np.tanh(2.0 * x.data) ** 2).sum())
 
+    @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv2d_patches_in_chunks_match_the_recorded_forward(self, monkeypatch, xs, ws,
+                                                                 stride, padding, dtype):
+        x = Tensor(rand((5,) + xs[1:], 1), dtype=dtype)
+        w = Tensor(rand(ws, 2), requires_grad=True, dtype=dtype)
+        recorded = tc.conv2d(x, w, stride=stride, padding=padding)
+        for budget in (1, 2 * recorded.data[0].nbytes):  # one image, then a few, at a time
+            monkeypatch.setattr(tc, "_COL_CHUNK_BYTES", budget)
+            with tc.no_grad():
+                chunked = tc.conv2d(x, w, stride=stride, padding=padding)
+            assert chunked.dtype == recorded.dtype
+            assert np.array_equal(chunked.data, recorded.data)
+
+    def test_conv2d_patch_transient_does_not_grow_with_the_batch(self):
+        x = Tensor(rand((64, 8, 32, 32), 1))
+        w = Tensor(rand((8, 8, 3, 3), 2), requires_grad=True)
+        padded = 64 * 8 * 34 * 34 * x.data.itemsize  # the zero-padded input copy
+        with tc.no_grad():
+            tracemalloc.start()
+            try:
+                out = tc.conv2d(x, w, padding=(1, 1))
+                patches = tracemalloc.get_traced_memory()[1] - out.data.nbytes - padded
+            finally:
+                tracemalloc.stop()
+        assert patches <= tc._COL_CHUNK_BYTES < x.data.nbytes * 9  # whole-batch col: 36 MiB
+
 
 class TestNNOps:
     def test_conv2d_grad(self):
