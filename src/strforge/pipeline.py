@@ -372,8 +372,14 @@ class TrainRecipe:
         for name in ("batch_size", "iterations", "val_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction}")
+        # a clip <= 0 flips or zeroes every update, and a rho outside [0, 1) or
+        # an eps <= 0 can take the root of a negative: usage errors, not runs
+        for name, ok, rule in (("fraction", 0.0 < self.fraction <= 1.0, "in (0, 1]"),
+                               ("clip", self.clip > 0.0, "> 0"),
+                               ("rho", 0.0 <= self.rho < 1.0, "in [0, 1)"),
+                               ("eps", self.eps > 0.0, "> 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -397,8 +403,10 @@ class TrainResult:
 
 
 def validate(model: Model, images, labels, batch_size: int = 64) -> float:
-    """Word accuracy (normalized comparison) of greedy decoding."""
+    """Word accuracy (normalized comparison) of greedy decoding; ConfigError on an empty set."""
     n = images.shape[0]
+    if n == 0:
+        raise ConfigError("the validation set is empty")
     preds = []
     for s in range(0, n, batch_size):
         preds += model.decode(Tensor(np.asarray(images[s:s + batch_size], dtype=model.dtype)))

@@ -407,20 +407,21 @@ def conv_output_size(size, kernel, stride, padding, floor=False):
     return num // stride + 1
 
 
-_COL_CHUNK_BYTES = 1 << 21  # im2col patches built at a time when no graph is recorded
+_COL_CHUNK_BYTES = 1 << 21  # im2col patches built at a time, forward and backward
 
 
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights.
 
-    Lowered per image to one matrix product (im2col): ``col`` holds each
-    image's (C*kh*kw, Ho*Wo) matrix of input patches, and
-    ``W(Cout, C*kh*kw) @ col`` is already NCHW. A 1x1 stride-1 unpadded conv
-    uses the input itself as ``col``. The backward reuses ``col`` for the
-    weight gradient, and scatters ``W^T @ g`` back onto the input (col2im)
-    with kh*kw contiguous slice-adds over the flattened padded input. With no
-    graph to record, ``col`` is built a few images at a time instead, so the
-    patch buffer stays under ``_COL_CHUNK_BYTES`` whatever the batch size.
+    Lowered per image to one matrix product (im2col): ``patches(a, b)`` is
+    the (b-a, C*kh*kw, Ho*Wo) patch matrix of images a..b-1, and
+    ``W(Cout, C*kh*kw) @ patches`` is already NCHW. A 1x1 stride-1 unpadded
+    conv uses a view of the input as its patches. Both directions walk the
+    batch in chunks of at most ``_COL_CHUNK_BYTES`` of patches, so no patch
+    matrix grows with the batch and the graph keeps only the padded input:
+    the backward rebuilds each chunk's patches for the weight gradient and
+    scatters ``W^T @ g`` back onto the input (col2im) with kh*kw contiguous
+    slice-adds over the flattened padded input.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input and OIHW weight, got {x.shape}, {weight.shape}")
@@ -437,63 +438,51 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     pointwise = kh == kw == sh == sw == 1 and not (ph or pw)
 
     wmat = weight.data.reshape(c_out, -1)
-    if pointwise:
-        col = x.data.reshape(n, c_in, h * w)
-        out_data = (wmat @ col).reshape(n, c_out, ho, wo)
-    else:
-        xp = x.data
-        if ph or pw:
-            xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-            xp[:, :, ph:ph + h, pw:pw + w] = x.data
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    xp = x.data
+    if ph or pw:
+        xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph:ph + h, pw:pw + w] = x.data
+    hp, wp = xp.shape[2:]
 
-        def im2col(a, b):
-            return np.ascontiguousarray(win[a:b].transpose(0, 1, 4, 5, 2, 3)).reshape(b - a, -1, ho * wo)
+    def patches(a, b):
+        if pointwise:
+            return xp[a:b].reshape(b - a, c_in, h * w)
+        win = np.lib.stride_tricks.sliding_window_view(xp[a:b], (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+        return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b - a, -1, ho * wo)
 
-        if _recording and (x.requires_grad or weight.requires_grad):
-            col = im2col(0, n)  # the backward needs every image's patches
-            out_data = (wmat @ col).reshape(n, c_out, ho, wo)
-        else:
-            # No graph: patches of a few images at a time, at most _COL_CHUNK_BYTES,
-            # so the transient does not grow with the batch. The per-image
-            # products are the same ones the whole-batch matmul makes.
-            out_data = np.empty((n, c_out, ho * wo), dtype=np.result_type(wmat, xp))
-            step = max(1, _COL_CHUNK_BYTES // (c_in * kh * kw * ho * wo * xp.itemsize))
-            for a in range(0, n, step):
-                b = min(n, a + step)
-                np.matmul(wmat, im2col(a, b), out=out_data[a:b])
-            out_data = out_data.reshape(n, c_out, ho, wo)
+    # Each chunk's matmul makes the same per-image products a whole-batch one would.
+    step = max(1, _COL_CHUNK_BYTES // (c_in * kh * kw * ho * wo * xp.itemsize))
+    chunks = [(a, min(n, a + step)) for a in range(0, n, step)]
+    out_data = np.empty((n, c_out, ho * wo), dtype=np.result_type(wmat, xp))
+    for a, b in chunks:
+        np.matmul(wmat, patches(a, b), out=out_data[a:b])
 
     def backward(g):
         gm = g.reshape(n, c_out, ho * wo)
-        gw = None
-        if weight.requires_grad:
-            gw = np.zeros(wmat.shape, dtype=g.dtype)
-            for gi, ci in zip(gm, col):  # sum over images of g_n @ col_n^T
-                gw += gi @ ci.T
-            gw = gw.reshape(weight.shape)
-        gx = None
-        if x.requires_grad:
-            if pointwise:
-                gx = (wmat.T @ gm).reshape(x.shape)
-            else:
-                # Window cell (i, j) of output (y, x) is padded-input cell
-                # (y*sh + i, x*sw + j), flat index y*sh*wp + x*sw + i*wp + j. With g
-                # at y*sh*wp + x*sw of a zero canvas, kernel cell (i, j) is one
-                # slice-add shifted by i*wp + j; the canvas zeros add nothing.
-                hp, wp = xp.shape[2:]
-                canvas = np.zeros((n, c_out, ho, sh * wp), dtype=g.dtype)
-                canvas[:, :, :, :sw * wo:sw] = g
-                span = ho * sh * wp
-                dcol = (wmat.T @ canvas.reshape(n, c_out, span)).reshape(n, c_in, kh, kw, span)
-                gxp = np.zeros((n, c_in, (hp + sh - 1) * wp + kw - 1), dtype=g.dtype)
+        gw = np.zeros(wmat.shape, dtype=g.dtype) if weight.requires_grad else None
+        gxp = (np.zeros((n, c_in, (hp + sh - 1) * wp + kw - 1), dtype=g.dtype)
+               if x.requires_grad else None)
+        # Window cell (i, j) of output (y, x) is padded-input cell (y*sh + i, x*sw + j),
+        # flat index y*sh*wp + x*sw + i*wp + j. With g at y*sh*wp + x*sw of a zero
+        # canvas, kernel cell (i, j) is one slice-add shifted by i*wp + j; the
+        # canvas zeros add nothing.
+        span = ho * sh * wp
+        for a, b in chunks:
+            if gw is not None:
+                for gi, ci in zip(gm[a:b], patches(a, b)):  # sum over images of g_n @ col_n^T
+                    gw += gi @ ci.T
+            if gxp is not None:
+                canvas = np.zeros((b - a, c_out, ho, sh * wp), dtype=g.dtype)
+                canvas[:, :, :, :sw * wo:sw] = g[a:b]
+                dcol = (wmat.T @ canvas.reshape(b - a, c_out, span)).reshape(b - a, c_in, kh, kw, span)
                 for i in range(kh):
                     for j in range(kw):
-                        gxp[:, :, i * wp + j:i * wp + j + span] += dcol[:, :, i, j]
-                gx = gxp[:, :, :hp * wp].reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w]
+                        gxp[a:b, :, i * wp + j:i * wp + j + span] += dcol[:, :, i, j]
+        gw = None if gw is None else gw.reshape(weight.shape)
+        gx = None if gxp is None else gxp[:, :, :hp * wp].reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w]
         return gx, gw
 
-    return Tensor._make(out_data, (x, weight), backward)
+    return Tensor._make(out_data.reshape(n, c_out, ho, wo), (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:

@@ -56,6 +56,36 @@ def test_train_zero_count_exits_2(tmp_path, capsys, flag):
     assert not (tmp_path / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--clip", "-1"), ("--clip", "0"),
+                                         ("--rho", "1.5"), ("--rho", "-0.5")])
+def test_train_hyperparameter_that_fails_silently_exits_2(tmp_path, capsys, monkeypatch,
+                                                          flag, value):
+    # clip <= 0 flips or zeroes every update; a rho outside [0, 1) takes the root of a negative
+    def no_assemble(*args, **kwargs):
+        raise AssertionError("a model was assembled for an invalid recipe")
+
+    monkeypatch.setattr("strforge.cli.assemble", no_assemble)
+    code = main(["train", "--pipeline", "CRNN", "--iters", "40", "--val-every", "20",
+                 "--batch", "8", "--train-size", "64", "--val-size", "16", flag, value,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{flag[2:]} must be" in err
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
+def test_eval_checkpoint_on_an_empty_set_exits_2(tmp_path, capsys):
+    model = assemble(PipelineConfig.from_string("None-VGG-None-CTC", scale=0.125))
+    data = synth_toydata(4, max_len=2, seed=0)
+    model.loss(Tensor(data.images), data.labels)  # a train-mode forward fills the BN statistics
+    model.save(tmp_path / "m.bin")
+    code = main(["eval", "--checkpoint", str(tmp_path / "m.bin"), "--val-size", "0",
+                 "--out", str(tmp_path / "ev")])
+    assert code == EXIT_USAGE
+    assert "validation set is empty" in capsys.readouterr().err
+    assert not (tmp_path / "ev" / "record.json").exists()
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
                  "--out", str(tmp_path)])

@@ -335,6 +335,15 @@ def test_training_indices_fraction():
         TrainRecipe(fraction=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("clip", 0.0), ("clip", -1.0), ("rho", 1.0),
+                                          ("rho", -0.5), ("eps", 0.0), ("eps", -1e-6),
+                                          ("rho", float("nan"))])
+def test_recipe_rejects_hyperparameters_that_fail_silently(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        TrainRecipe(**{field: value})
+    TrainRecipe(rho=0.0)  # no decay is a valid AdaDelta setting
+
+
 def test_train_logs_and_keeps_best(tmp_path):
     cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
     model = assemble(cfg)

@@ -213,28 +213,54 @@ class TestNoGrad:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv2d_patches_in_chunks_match_the_recorded_forward(self, monkeypatch, xs, ws,
                                                                  stride, padding, dtype):
-        x = Tensor(rand((5,) + xs[1:], 1), dtype=dtype)
-        w = Tensor(rand(ws, 2), requires_grad=True, dtype=dtype)
-        recorded = tc.conv2d(x, w, stride=stride, padding=padding)
-        for budget in (1, 2 * recorded.data[0].nbytes):  # one image, then a few, at a time
+        # the output and both gradients are bit-identical whether the patches
+        # come one image, two images or the whole batch at a time, and the
+        # graph-free output equals the recorded one
+        (sh, sw), (ph, pw) = stride, padding
+        ho = tc.conv_output_size(xs[2], ws[2], sh, ph)
+        wo = tc.conv_output_size(xs[3], ws[3], sw, pw)
+        per_image = ws[1] * ws[2] * ws[3] * ho * wo * np.dtype(dtype).itemsize
+        x0, w0 = rand((5,) + xs[1:], 1), rand(ws, 2)
+        g = rand((5, ws[0], ho, wo), 3).astype(dtype)
+        runs = []
+        for budget in (1, 2 * per_image, 5 * per_image):
             monkeypatch.setattr(tc, "_COL_CHUNK_BYTES", budget)
+            x = Tensor(x0, requires_grad=True, dtype=dtype)
+            w = Tensor(w0, requires_grad=True, dtype=dtype)
+            out = tc.conv2d(x, w, stride=stride, padding=padding)
             with tc.no_grad():
-                chunked = tc.conv2d(x, w, stride=stride, padding=padding)
-            assert chunked.dtype == recorded.dtype
-            assert np.array_equal(chunked.data, recorded.data)
+                free = tc.conv2d(x, w, stride=stride, padding=padding)
+            assert np.array_equal(free.data, out.data)
+            out.backward(g)
+            runs.append((out.data, x.grad, w.grad))
+        for run in runs[1:]:
+            for want, got in zip(runs[0], run):
+                assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_conv2d_patch_transient_does_not_grow_with_the_batch(self):
-        x = Tensor(rand((64, 8, 32, 32), 1))
+        x = Tensor(rand((64, 8, 32, 32), 1), requires_grad=True)
         w = Tensor(rand((8, 8, 3, 3), 2), requires_grad=True)
+        g = rand((64, 8, 32, 32), 3)
         padded = 64 * 8 * 34 * 34 * x.data.itemsize  # the zero-padded input copy
-        with tc.no_grad():
-            tracemalloc.start()
-            try:
+        whole_col = x.data.nbytes * 9  # every image's patches at once: 36 MiB
+        tracemalloc.start()
+        try:
+            with tc.no_grad():
                 out = tc.conv2d(x, w, padding=(1, 1))
-                patches = tracemalloc.get_traced_memory()[1] - out.data.nbytes - padded
-            finally:
-                tracemalloc.stop()
-        assert patches <= tc._COL_CHUNK_BYTES < x.data.nbytes * 9  # whole-batch col: 36 MiB
+                free_patches = tracemalloc.get_traced_memory()[1] - out.data.nbytes - padded
+            del out
+            tracemalloc.reset_peak()
+            out = tc.conv2d(x, w, padding=(1, 1))  # the graph keeps the padded input only
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out.backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert free_patches <= tc._COL_CHUNK_BYTES < whole_col
+        assert held <= forward_peak <= out.data.nbytes + padded + tc._COL_CHUNK_BYTES
+        assert backward_peak < whole_col
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
 class TestNNOps:
