@@ -103,6 +103,14 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _at_least(low):
+    def count(text):  # an argparse type: an integer no smaller than low
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return count
+
+
 def _parse_kv(pairs, what):
     out = {}
     for item in pairs or []:
@@ -128,17 +136,20 @@ def _checkpoint_config(args):
 
 def cmd_eval(args):
     _prep_out(args)
-    if args.manifest:
-        manifests = {}
-        reports = []
-        exclusions = _parse_kv(args.exclusion, "--exclusion")
-        variants = {k: int(v) for k, v in _parse_kv(args.subset, "--subset").items()}
-        for d, path in _parse_kv(args.manifest, "--manifest").items():
+    paths = _parse_kv(args.manifest, "--manifest")
+    exclusions = _parse_kv(args.exclusion, "--exclusion")
+    variants = _parse_kv(args.subset, "--subset")
+    if not set(variants) | set(exclusions) <= set(paths):
+        raise EvalConfigError("--subset and --exclusion take only datasets that have a --manifest")
+    if not all(v.isdecimal() for v in variants.values()):
+        raise EvalConfigError(f"--subset expects DATASET=integer, got {args.subset}")
+    if paths:
+        manifests, reports = {}, []
+        for d, path in paths.items():
             m = Manifest.load(path)
-            variant = variants.get(d)
-            if variant is not None:
+            if d in variants:
                 excl = (Manifest.load(exclusions[d]) if d in exclusions else None)
-                m, rep = filter_benchmark(m, d, variant, exclusion=excl)
+                m, rep = filter_benchmark(m, d, int(variants[d]), exclusion=excl)
                 reports.append(rep.to_json_dict())
             manifests[d] = m
         preds = {}
@@ -273,9 +284,9 @@ def build_parser():
                       help="training-set fraction in (0,1]")
     frac.add_argument("--fractions", default=None,
                       help="comma list for a fraction sweep, e.g. 0.2,0.4,1.0")
-    t.add_argument("--train-size", type=int, default=2000, help="synthetic set size")
-    t.add_argument("--val-size", type=int, default=200, help="validation set size")
-    t.add_argument("--max-len", type=int, default=5, help="max label length")
+    t.add_argument("--train-size", type=_at_least(0), default=2000, help="synthetic set size")
+    t.add_argument("--val-size", type=_at_least(0), default=200, help="validation set size")
+    t.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
     t.add_argument("--stop-accuracy", type=float, default=None,
                    help="early-stop validation accuracy")
     t.add_argument("--out", required=True, help="output directory")
@@ -288,8 +299,8 @@ def build_parser():
                    help="checkpoint mode: must match the checkpoint's channel scale")
     e.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     e.add_argument("--checkpoint", default=None, help="checkpoint to score")
-    e.add_argument("--val-size", type=int, default=200, help="synthetic eval size")
-    e.add_argument("--max-len", type=int, default=5, help="max label length")
+    e.add_argument("--val-size", type=_at_least(0), default=200, help="synthetic eval size")
+    e.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
     e.add_argument("--manifest", action="append", default=None,
                    metavar="DATASET=PATH", help="ground-truth manifest per dataset")
     e.add_argument("--preds", action="append", default=None,
@@ -326,9 +337,9 @@ def build_parser():
     f.set_defaults(func=cmd_frontier)
 
     s = sub.add_parser("synthgen", help="generate a synthetic toy dataset")
-    s.add_argument("--n", type=int, default=1000, help="sample count")
+    s.add_argument("--n", type=_at_least(0), default=1000, help="sample count")
     s.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    s.add_argument("--max-len", type=int, default=5, help="max label length")
+    s.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synthgen)
     return p

@@ -17,7 +17,8 @@ Inside a ``with no_grad():`` block every op computes the same values but
 records nothing: its output has ``requires_grad`` unset and no parents or
 closure, so each intermediate is freed as soon as nothing refers to it. The
 block nests and restores the previous state on exit, also on an exception.
-Inference (``Model.decode``) runs under it.
+Inference (``Model.decode``) runs under it. ``conv2d`` runs one kernel, a
+chunked im2col correlation, for its forward and its input gradient.
 """
 
 from __future__ import annotations
@@ -410,79 +411,70 @@ def conv_output_size(size, kernel, stride, padding, floor=False):
 _COL_CHUNK_BYTES = 1 << 21  # im2col patches built at a time, forward and backward
 
 
-def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D cross-correlation over NCHW input with OIHW weights.
+def _chunks(n, patch_bytes):
+    """Slices of ``n`` images of ``patch_bytes`` patches each, at most ``_COL_CHUNK_BYTES`` a slice."""
+    step = max(1, _COL_CHUNK_BYTES // patch_bytes)
+    return [slice(a, a + step) for a in range(0, n, step)]
 
-    Lowered per image to one matrix product (im2col): ``patches(a, b)`` is
-    the (b-a, C*kh*kw, Ho*Wo) patch matrix of images a..b-1, and
-    ``W(Cout, C*kh*kw) @ patches`` is already NCHW. A 1x1 stride-1 unpadded
-    conv uses a view of the input as its patches. Both directions walk the
-    batch in chunks of at most ``_COL_CHUNK_BYTES`` of patches, so no patch
-    matrix grows with the batch and the graph keeps only the padded input:
-    the backward rebuilds each chunk's patches for the weight gradient and
-    scatters ``W^T @ g`` back onto the input (col2im) with kh*kw contiguous
-    slice-adds over the flattened padded input.
-    """
-    if x.ndim != 4 or weight.ndim != 4:
-        raise ShapeError(f"conv2d expects NCHW input and OIHW weight, got {x.shape}, {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weight {weight.shape}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
+
+def _patches(xp, kh, kw, sh, sw):
+    """The (N, C*kh*kw, Ho*Wo) im2col patches of a padded NCHW input; a view for 1x1 stride 1."""
+    n, c, hp, wp = xp.shape
+    if kh == kw == sh == sw == 1:
+        return xp.reshape(n, c, -1)
+    strides = xp.strides + (xp.strides[2] * sh, xp.strides[3] * sw)
+    win = np.lib.stride_tricks.as_strided(xp, (n, c, kh, kw, (hp - kh) // sh + 1, (wp - kw) // sw + 1), strides)
+    return win.reshape(n, c * kh * kw, -1)
+
+
+def _correlate(xp, w, sh, sw):
+    """Cross-correlation of a padded NCHW input with OIHW weights, ``W @ patches`` by
+    chunks of images: the products are per image, so every chunk size gives the same bits."""
+    c_out, c, kh, kw = w.shape
+    ho, wo = (xp.shape[2] - kh) // sh + 1, (xp.shape[3] - kw) // sw + 1
+    wmat = w.reshape(c_out, -1)
+    out = np.empty((len(xp), c_out, ho, wo), dtype=np.result_type(wmat, xp))
+    for s in _chunks(len(xp), c * kh * kw * ho * wo * xp.itemsize):
+        np.matmul(wmat, _patches(xp[s], kh, kw, sh, sw), out=out[s].reshape(-1, c_out, ho * wo))
+    return out
+
+
+def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
+    """2-D cross-correlation over NCHW input with OIHW weights. The forward and
+    the input gradient run one chunked im2col product, ``_correlate``, and the
+    graph keeps only the padded input. The input gradient correlates, at stride
+    1, the flipped, channel-swapped kernel with the output gradient dilated by
+    the stride and framed by kernel-1-padding zeros (cropped where negative)."""
+    if x.ndim != 4 or weight.ndim != 4 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"conv2d expects NCHW input, OIHW weight, equal C; got {x.shape}, {weight.shape}")
+    (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
     if sh < 1 or sw < 1:
         raise ShapeError("stride must be >= 1")
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
-    ho = conv_output_size(h, kh, sh, ph)
-    wo = conv_output_size(w, kw, sw, pw)
-    pointwise = kh == kw == sh == sw == 1 and not (ph or pw)
-
-    wmat = weight.data.reshape(c_out, -1)
+    ho, wo = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
     xp = x.data
     if ph or pw:
         xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    hp, wp = xp.shape[2:]
-
-    def patches(a, b):
-        if pointwise:
-            return xp[a:b].reshape(b - a, c_in, h * w)
-        win = np.lib.stride_tricks.sliding_window_view(xp[a:b], (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b - a, -1, ho * wo)
-
-    # Each chunk's matmul makes the same per-image products a whole-batch one would.
-    step = max(1, _COL_CHUNK_BYTES // (c_in * kh * kw * ho * wo * xp.itemsize))
-    chunks = [(a, min(n, a + step)) for a in range(0, n, step)]
-    out_data = np.empty((n, c_out, ho * wo), dtype=np.result_type(wmat, xp))
-    for a, b in chunks:
-        np.matmul(wmat, patches(a, b), out=out_data[a:b])
 
     def backward(g):
-        gm = g.reshape(n, c_out, ho * wo)
-        gw = np.zeros(wmat.shape, dtype=g.dtype) if weight.requires_grad else None
-        gxp = (np.zeros((n, c_in, (hp + sh - 1) * wp + kw - 1), dtype=g.dtype)
-               if x.requires_grad else None)
-        # Window cell (i, j) of output (y, x) is padded-input cell (y*sh + i, x*sw + j),
-        # flat index y*sh*wp + x*sw + i*wp + j. With g at y*sh*wp + x*sw of a zero
-        # canvas, kernel cell (i, j) is one slice-add shifted by i*wp + j; the
-        # canvas zeros add nothing.
-        span = ho * sh * wp
-        for a, b in chunks:
-            if gw is not None:
-                for gi, ci in zip(gm[a:b], patches(a, b)):  # sum over images of g_n @ col_n^T
-                    gw += gi @ ci.T
-            if gxp is not None:
-                canvas = np.zeros((b - a, c_out, ho, sh * wp), dtype=g.dtype)
-                canvas[:, :, :, :sw * wo:sw] = g[a:b]
-                dcol = (wmat.T @ canvas.reshape(b - a, c_out, span)).reshape(b - a, c_in, kh, kw, span)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[a:b, :, i * wp + j:i * wp + j + span] += dcol[:, :, i, j]
-        gw = None if gw is None else gw.reshape(weight.shape)
-        gx = None if gxp is None else gxp[:, :, :hp * wp].reshape(xp.shape)[:, :, ph:ph + h, pw:pw + w]
+        gw = gx = None
+        if weight.requires_grad:
+            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)  # sum of g_n @ patches_n^T
+            for s in _chunks(n, c_in * kh * kw * ho * wo * xp.itemsize):
+                for gi, pi in zip(g[s].reshape(-1, c_out, ho * wo), _patches(xp[s], kh, kw, sh, sw)):
+                    gw += gi @ pi.T
+            gw = gw.reshape(weight.shape)
+        if x.requires_grad:
+            # g[y, x] at (kh-1 + y*sh, kw-1 + x*sw); the window at (ph, pw) frames or crops it
+            gd = np.zeros((n, c_out, h + 2 * ph + kh - 1, w + 2 * pw + kw - 1), dtype=g.dtype)
+            gd[:, :, kh - 1::sh, kw - 1::sw][:, :, :ho, :wo] = g
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gx = _correlate(gd[:, :, ph:ph + h + kh - 1, pw:pw + w + kw - 1], flipped, 1, 1)
         return gx, gw
 
-    return Tensor._make(out_data.reshape(n, c_out, ho, wo), (x, weight), backward)
+    return Tensor._make(_correlate(xp, weight.data, sh, sw), (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:

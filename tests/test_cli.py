@@ -74,6 +74,21 @@ def test_train_hyperparameter_that_fails_silently_exits_2(tmp_path, capsys, monk
     assert not (tmp_path / "checkpoint.bin").exists()
 
 
+@pytest.mark.parametrize("argv", [["train", "--pipeline", "CRNN", "--train-size", "-5"],
+                                  ["train", "--pipeline", "CRNN", "--val-size", "-1"],
+                                  ["train", "--pipeline", "CRNN", "--max-len", "0"],
+                                  ["eval", "--val-size", "-3"],
+                                  ["eval", "--max-len", "0"],
+                                  ["synthgen", "--n", "-2"],
+                                  ["synthgen", "--max-len", "0"]])
+def test_negative_size_or_empty_label_length_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_checkpoint_on_an_empty_set_exits_2(tmp_path, capsys):
     model = assemble(PipelineConfig.from_string("None-VGG-None-CTC", scale=0.125))
     data = synth_toydata(4, max_len=2, seed=0)
@@ -261,6 +276,32 @@ def test_eval_missing_preds_exits_2(tmp_path, capsys):
                  str(tmp_path / "out")])
     assert code == EXIT_USAGE
     capsys.readouterr()
+
+
+def write_iiit_set(tmp_path):
+    """A one-entry IIIT manifest and a matching prediction file."""
+    gt, preds = tmp_path / "iiit.jsonl", tmp_path / "preds.jsonl"
+    gt.write_text(json.dumps({"image": "i.png", "label": "a", "dataset": "IIIT",
+                              "scene": "s", "digest": "d"}) + "\n")
+    preds.write_text(json.dumps({"pred": "a"}) + "\n")
+    return ["--manifest", f"IIIT={gt}", "--preds", f"IIIT={preds}"]
+
+
+def test_eval_subset_that_is_not_an_integer_exits_2(tmp_path, capsys):
+    code = main(["eval"] + write_iiit_set(tmp_path) + ["--subset", "IIIT=abc",
+                                                        "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "--subset expects DATASET=integer" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "record.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--subset", "IC99=867"), ("--exclusion", "IC03=x.jsonl")])
+def test_eval_subset_or_exclusion_without_a_manifest_exits_2(tmp_path, capsys, flag, value):
+    code = main(["eval"] + write_iiit_set(tmp_path) + [flag, value,
+                                                        "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "that have a --manifest" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "record.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -440,6 +442,36 @@ def test_training_determinism_bit_identical():
     assert log1 == log2
     for k in snap1:
         assert np.array_equal(snap1[k], snap2[k])
+
+
+GRADIENT_DIGESTS = """
+import hashlib
+from strforge.pipeline import PipelineConfig, assemble
+from strforge.tensor import Tensor
+from strforge.toydata import synth_toydata
+
+data = synth_toydata(8, max_len=3, seed=0)
+for name in ("None-VGG-BiLSTM-CTC", "TPS-ResNet-BiLSTM-Attn"):
+    model = assemble(PipelineConfig.from_string(name, scale=0.125, seed=0))
+    loss = model.loss(Tensor(data.images), data.labels)
+    loss.backward()
+    digest = hashlib.sha256(loss.data.tobytes())
+    for p in model.params().values():
+        digest.update(p.grad.tobytes())
+    print(name, loss.dtype, digest.hexdigest())
+"""
+
+
+def test_loss_and_gradients_do_not_depend_on_the_blas_thread_count():
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", GRADIENT_DIGESTS], capture_output=True,
+                              text=True, timeout=300,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0].count("float32") == 2
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

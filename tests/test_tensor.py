@@ -76,13 +76,15 @@ POOL_CASES = [
 # 3x3 same-padded (VGG, ResNet, GRCL feed-forward), 2x2 with stride (2, 1)
 # and padding (0, 1) (ResNet conv6) and 1x1 (GRCL gates, ResNet
 # projections); then a column stride, which no backbone uses, with and
-# without padding.
+# without padding, and padding wider than kernel-1, which crops the output
+# gradient that the input gradient correlates.
 CONV_CASES = [
     ((2, 3, 5, 6), (4, 3, 3, 3), (1, 1), (1, 1)),
     ((2, 3, 4, 5), (4, 3, 2, 2), (2, 1), (0, 1)),
     ((3, 4, 3, 5), (2, 4, 1, 1), (1, 1), (0, 0)),
     ((2, 3, 5, 5), (2, 3, 1, 1), (2, 2), (0, 0)),
     ((2, 3, 5, 7), (3, 3, 3, 3), (2, 2), (1, 1)),
+    ((2, 3, 4, 5), (2, 3, 1, 1), (1, 1), (1, 1)),
 ]
 
 
