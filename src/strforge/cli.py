@@ -139,8 +139,12 @@ def cmd_eval(args):
     paths = _parse_kv(args.manifest, "--manifest")
     exclusions = _parse_kv(args.exclusion, "--exclusion")
     variants = _parse_kv(args.subset, "--subset")
-    if not set(variants) | set(exclusions) <= set(paths):
-        raise EvalConfigError("--subset and --exclusion take only datasets that have a --manifest")
+    pred_paths = _parse_kv(args.preds, "--preds")
+    if not set(variants) | set(exclusions) | set(pred_paths) <= set(paths):
+        raise EvalConfigError("--subset, --exclusion and --preds take only datasets that have "
+                              "a --manifest")
+    if not set(exclusions) <= set(variants):
+        raise EvalConfigError("--exclusion takes only datasets that have a --subset")
     if not all(v.isdecimal() for v in variants.values()):
         raise EvalConfigError(f"--subset expects DATASET=integer, got {args.subset}")
     if paths:
@@ -153,7 +157,7 @@ def cmd_eval(args):
                 reports.append(rep.to_json_dict())
             manifests[d] = m
         preds = {}
-        for d, path in _parse_kv(args.preds, "--preds").items():
+        for d, path in pred_paths.items():
             with open(path) as fh:
                 preds[d] = [json.loads(ln)["pred"] for ln in fh if ln.strip()]
         missing = set(manifests) - set(preds)

@@ -148,7 +148,8 @@ def filter_benchmark(manifest: Manifest, dataset: str, variant: int = None,
     """Apply a benchmark subset filter; returns (Manifest, FilterReport).
 
     The 860 and 1811 variants subtract entries listed in a caller-supplied
-    exclusion manifest (matched by image reference, falling back to digest).
+    exclusion manifest (matched by image reference, falling back to digest);
+    an exclusion manifest for any other variant raises EvalConfigError.
     """
     if dataset not in DATASETS:
         raise EvalConfigError(f"unknown dataset {dataset!r}")
@@ -163,6 +164,8 @@ def filter_benchmark(manifest: Manifest, dataset: str, variant: int = None,
                 f"variant {variant!r} invalid for {dataset}; "
                 f"choose from {sorted(variants)}")
         rule, needs_excl = variants[variant]
+    if exclusion is not None and not needs_excl:
+        raise EvalConfigError(f"{dataset}/{variant} takes no exclusion-list manifest")
 
     before = len(manifest)
     kept = [e for e in manifest if rule is None or rule(e)]

@@ -12,6 +12,7 @@ loss or gradient, and dataset-fraction sweeps. Everything runs at toy scale
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -193,11 +194,12 @@ class Model:
         return log_softmax(logits, axis=1).reshape(b, t, NUM_CLASSES)
 
     def loss(self, x: Tensor, labels, mode: str = "train") -> Tensor:
-        """Mean negative log-likelihood of the batch."""
+        """Mean negative log-likelihood of the batch; eval mode runs it under ``no_grad``."""
         encoded = [CODEC.encode(lbl) for lbl in labels]
-        if self.attn is None:
-            return ctc_loss_batch(self.frame_log_probs(x, mode), encoded)
-        return attn_loss_batch(self.features(x, mode), encoded, self.attn)
+        with no_grad() if mode == "eval" else contextlib.nullcontext():
+            if self.attn is None:
+                return ctc_loss_batch(self.frame_log_probs(x, mode), encoded)
+            return attn_loss_batch(self.features(x, mode), encoded, self.attn)
 
     def decode(self, x: Tensor, max_len: int = 25):
         """Greedy predictions for a batch of images, at most max_len characters each.

@@ -17,8 +17,8 @@ Inside a ``with no_grad():`` block every op computes the same values but
 records nothing: its output has ``requires_grad`` unset and no parents or
 closure, so each intermediate is freed as soon as nothing refers to it. The
 block nests and restores the previous state on exit, also on an exception.
-Inference (``Model.decode``) runs under it. ``conv2d`` runs one kernel, a
-chunked im2col correlation, for its forward and its input gradient.
+Inference (``Model.decode``, eval-mode ``Model.loss``) runs under it. ``conv2d``
+runs one kernel, a chunked im2col correlation, for forward and input gradient.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ _recording = True  # cleared inside no_grad(): ops build no graph
 def no_grad():
     """Run ops without recording a graph; the previous state returns on exit.
 
-    The state is process-wide, not per thread.
+    ``Model.decode`` and an eval-mode ``Model.loss`` use it; process-wide, not per thread.
     """
     global _recording
     outer, _recording = _recording, False
@@ -569,13 +569,14 @@ class ParamStore:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               mode: str = "train") -> Tensor:
-    """Batch normalization over all axes except the channel axis, as one graph node.
+    """Batch normalization over all axes except the channel axis.
 
     Channel axis is 1 for 4-D (NCHW) input and the last axis for 2-D input.
-    Train mode normalizes by the batch statistics and records them in `state`;
-    its backward is the closed form gx = gamma/sigma * (g - mean(g) -
-    xhat * mean(g * xhat)). Eval mode is a per-channel scale and shift by the
-    running statistics.
+    Train mode normalizes by the batch statistics and records them in `state`,
+    as one graph node with the closed-form backward gx = gamma/sigma * (g -
+    mean(g) - xhat * mean(g * xhat)). Eval mode is inference: a per-channel
+    scale and shift by the running statistics, with no graph node. It raises
+    ``StateError`` while a graph records an input that needs a gradient.
     """
     if x.ndim == 4:
         axes = (0, 2, 3)
@@ -612,17 +613,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if mode == "eval":
         if not state.initialized:
             raise StateError("batchnorm eval mode before any statistics were recorded")
-        mean = state.running_mean.reshape(cshape)
-        inv_std = (state.running_var.reshape(cshape) + state.eps) ** -0.5
-        scale = gam * inv_std
+        if _recording and (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+            raise StateError("batchnorm eval mode is inference: run it under no_grad")
+        scale = gam * (state.running_var.reshape(cshape) + state.eps) ** -0.5
         out_data = x.data * scale
-        out_data += beta.data.reshape(cshape) - mean * scale
-
-        def backward(g):
-            ggamma = (g * (x.data - mean)).sum(axis=axes) * inv_std.reshape(-1)
-            return g * scale, ggamma.reshape(gamma.shape), g.sum(axis=axes).reshape(beta.shape)
-
-        return Tensor._make(out_data, (x, gamma, beta), backward)
+        out_data += beta.data.reshape(cshape) - state.running_mean.reshape(cshape) * scale
+        return Tensor(out_data)
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 

@@ -13,7 +13,7 @@ from strforge.arch import (
     build_resnet,
     build_vgg,
 )
-from strforge.tensor import ParamStore, Tensor
+from strforge.tensor import ParamStore, Tensor, no_grad
 
 
 def shapes_of(graph):
@@ -157,8 +157,9 @@ class TestRunnable:
             p.data[...] = rng.normal(0, 0.05, p.shape)
         x = Tensor(rng.normal(size=(2, 1, 32, 100)))
         net.forward(x, mode="train")
-        a = net.forward(x, mode="eval").data
-        b = net.forward(x, mode="eval").data
+        with no_grad():
+            a = net.forward(x, mode="eval").data
+            b = net.forward(x, mode="eval").data
         assert np.array_equal(a, b)
 
     def test_backward_reaches_all_params(self):

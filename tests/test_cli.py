@@ -304,6 +304,40 @@ def test_eval_subset_or_exclusion_without_a_manifest_exits_2(tmp_path, capsys, f
     assert not (tmp_path / "out" / "record.json").exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--checkpoint", "m.bin"]], ids=["manifest", "checkpoint"])
+def test_eval_preds_without_a_manifest_exits_2(tmp_path, capsys, mode):
+    args = write_iiit_set(tmp_path) if not mode else []
+    code = main(["eval"] + args + mode + ["--preds", f"SVT={tmp_path / 'svt.jsonl'}",
+                                          "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "that have a --manifest" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "record.json").exists()
+
+
+def write_ic03_set(tmp_path):
+    """A two-entry IC03 manifest, both kept by the 867 rule, and its predictions."""
+    gt, preds = tmp_path / "ic03.jsonl", tmp_path / "preds.jsonl"
+    gt.write_text("".join(json.dumps({"image": f"{w}.png", "label": w, "dataset": "IC03",
+                                      "scene": "s", "digest": w}) + "\n"
+                          for w in ("abc", "word")))
+    preds.write_text("".join(json.dumps({"pred": w}) + "\n" for w in ("abc", "word")))
+    return str(gt), ["--manifest", f"IC03={gt}", "--preds", f"IC03={preds}"]
+
+
+@pytest.mark.parametrize("subset, message", [
+    ([], "--exclusion takes only datasets that have a --subset"),
+    (["--subset", "IC03=867"], "IC03/867 takes no exclusion-list manifest"),
+], ids=["no-subset", "variant-takes-none"])
+def test_eval_exclusion_that_would_be_dropped_exits_2(tmp_path, capsys, subset, message):
+    # the exclusion equals the manifest: honoured, it would remove every entry
+    gt, args = write_ic03_set(tmp_path)
+    code = main(["eval"] + args + subset + ["--exclusion", f"IC03={gt}",
+                                            "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "record.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # train -> eval round trip (tiny budget)
 # ---------------------------------------------------------------------------

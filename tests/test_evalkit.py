@@ -87,6 +87,12 @@ class TestFilters:
         with pytest.raises(EvalConfigError):
             filter_benchmark(m, "IC15", 1811)
 
+    @pytest.mark.parametrize("dataset, variant", [("IC03", 867), ("IC15", 2077), ("IIIT", None)])
+    def test_exclusion_for_a_variant_that_takes_none_is_config_error(self, dataset, variant):
+        m = man(["abc", "abcd"], dataset=dataset)
+        with pytest.raises(EvalConfigError, match="takes no exclusion"):
+            filter_benchmark(m, dataset, variant, exclusion=m)
+
     def test_invalid_variant(self):
         with pytest.raises(EvalConfigError):
             filter_benchmark(man(["abc"]), "IC03", 999)

@@ -368,16 +368,26 @@ class TestNNOps:
         res = grad_check(f, [x, g, b], tol=1e-3)
         assert res["passed"], res
 
-    def test_batchnorm_eval_grad(self):
+    def test_batchnorm_eval_raises_while_recording(self):
+        # eval mode is inference: it has no backward, so a recording graph
+        # with an input that needs a gradient is refused, input by input
         state = tc.BatchNormState(3)
         state.update(rand((3,), 15), np.array([0.5, 1.0, 2.0]))
-        x = Tensor(rand((4, 3, 2, 2), 16), requires_grad=True)
-        g = Tensor(rand((3,), 17), requires_grad=True)
-        b = Tensor(rand((3,), 18), requires_grad=True)
-        probe = rand((4, 3, 2, 2), 19)
-        res = grad_check(lambda xx, gg, bb: (tc.batchnorm(xx, gg, bb, state, mode="eval")
-                                             * probe).sum(), [x, g, b])
-        assert res["passed"], res
+        data = rand((4, 3, 2, 2), 16), rand((3,), 17), rand((3,), 18)
+        for needs in range(3):
+            x, g, b = (Tensor(a, requires_grad=i == needs) for i, a in enumerate(data))
+            with pytest.raises(tc.StateError, match="no_grad"):
+                tc.batchnorm(x, g, b, state, mode="eval")
+            with tc.no_grad():
+                out = tc.batchnorm(x, g, b, state, mode="eval")
+            assert not out.requires_grad and out._parents == () and out._backward is None
+        # outside a recording graph it needs no no_grad: constants record nothing
+        c = (1, -1, 1, 1)
+        want = ((data[0] - state.running_mean.reshape(c))
+                / np.sqrt(state.running_var.reshape(c) + state.eps)
+                * data[1].reshape(c) + data[2].reshape(c))
+        out = tc.batchnorm(*(Tensor(a) for a in data), state, mode="eval")
+        assert np.allclose(out.data, want)
 
     def test_batchnorm_train_grad_2d(self):
         x = Tensor(rand((6, 3), 20), requires_grad=True)
