@@ -20,13 +20,11 @@ def save_params(path, params, extra=None):
     """Write named arrays to `path` as float32. `extra` lands in the header."""
     entries = {}
     offset = crc = 0
-    blobs = []
-    for name, data in params.items():
-        arr = np.ascontiguousarray(data, dtype="<f4")
+    arrays = [np.ascontiguousarray(data, dtype="<f4") for data in params.values()]
+    for name, arr in zip(params, arrays):
         entries[name] = {"shape": list(arr.shape), "offset": offset}
         offset += arr.nbytes
-        blobs.append(arr.tobytes())
-        crc = zlib.crc32(blobs[-1], crc)
+        crc = zlib.crc32(arr, crc)  # the buffer of a contiguous array: its bytes, no copy
     header = {"params": entries, "crc32": crc}
     if extra:
         header["extra"] = extra
@@ -35,8 +33,8 @@ def save_params(path, params, extra=None):
         fh.write(MAGIC)
         fh.write(np.uint32(len(hbytes)).astype("<u4").tobytes())
         fh.write(hbytes)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def load_params(path):

@@ -117,6 +117,8 @@ def _parse_kv(pairs, what):
         if "=" not in item:
             raise EvalConfigError(f"{what} expects DATASET=value, got {item!r}")
         k, v = item.split("=", 1)
+        if k in out:
+            raise EvalConfigError(f"{what} names dataset {k!r} twice")
         out[k] = v
     return out
 

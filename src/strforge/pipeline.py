@@ -217,17 +217,11 @@ class Model:
     # -- checkpointing -------------------------------------------------------
 
     def save(self, path, extra=None):
-        """Write parameters and BN statistics; the header names the config."""
+        """Write the model state (`ParamStore.state`); the header names the config."""
+        arrays, initialized = self.store.state()
         merged = {"config": self.cfg.name, "scale": self.cfg.scale,
-                  "num_fiducials": self.cfg.num_fiducials, **(extra or {})}
-        arrays = {name: p.data for name, p in self.store.tensors.items()}
-        initialized = []
-        for name, state in self.store.bn_states.items():
-            arrays[f"{name}.running_mean"] = state.running_mean
-            arrays[f"{name}.running_var"] = state.running_var
-            if state.initialized:
-                initialized.append(name)
-        merged["bn_initialized"] = initialized
+                  "num_fiducials": self.cfg.num_fiducials, **(extra or {}),
+                  "bn_initialized": initialized}
         ckpt.save_params(path, arrays, extra=merged)
 
     def load(self, path):
@@ -238,28 +232,8 @@ class Model:
         if saved != own:
             raise ConfigError(f"checkpoint (config, scale, num_fiducials) {saved} "
                               f"does not match the model's {own}")
-        self.set_param_values(params)
-        initialized = set(extra.get("bn_initialized", []))
-        for name, state in self.store.bn_states.items():
-            mean = params.get(f"{name}.running_mean")
-            if mean is None:
-                continue
-            state.running_mean = mean.astype(state.running_mean.dtype)
-            state.running_var = params[f"{name}.running_var"].astype(
-                state.running_var.dtype)
-            state.initialized = name in initialized
+        self.store.load_state(params, extra.get("bn_initialized", []))
         return extra
-
-    def set_param_values(self, values):
-        own = self.store.tensors
-        missing = set(own) - set(values)
-        if missing:
-            raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:4]} ...")
-        for name, p in own.items():
-            p.data[...] = values[name].reshape(p.shape)
-
-    def snapshot(self):
-        return {name: p.data.copy() for name, p in self.store.tensors.items()}
 
 
 def assemble(cfg, dtype=np.float32, initialize=True) -> Model:
@@ -388,7 +362,7 @@ class TrainRecipe:
 class TrainResult:
     best_step: int
     best_accuracy: float
-    best_params: dict
+    best_state: tuple  # ParamStore.state() of the best step
     log: list = field(default_factory=list)  # rows of (step, loss, val_accuracy)
 
     def log_csv(self) -> str:
@@ -425,12 +399,13 @@ def _training_indices(n: int, fraction: float, seed: int) -> np.ndarray:
 def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
     """AdaDelta training with periodic validation.
 
-    Retains the parameters of the highest-validation-accuracy checkpoint
-    (earliest step wins ties) and returns them with the (step, loss,
-    val_accuracy) log. `train_set`/`val_set` expose .images and .labels. A
-    non-finite loss or pre-clip gradient norm restores those parameters (the
-    initial ones before the first validation) and raises FloatingPointError.
-    An empty training or validation set raises ConfigError.
+    Retains the model state (parameters and batch-norm statistics) of the
+    highest-validation-accuracy step (earliest step wins ties), leaves the
+    model holding it and returns it with the (step, loss, val_accuracy) log.
+    `train_set`/`val_set` expose .images and .labels. A non-finite loss or
+    pre-clip gradient norm restores that state (the initial one before the
+    first validation) and raises FloatingPointError. An empty training or
+    validation set raises ConfigError.
     """
     for what, data in (("training", train_set), ("validation", val_set)):
         if len(data.labels) == 0:
@@ -441,7 +416,7 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
     state = AdaDeltaState()
 
     best_acc, best_step = -1.0, -1
-    best_params = model.snapshot()
+    best_state = model.store.state()
     log = []
     for it in range(1, recipe.iterations + 1):
         idx = pool[rng.integers(0, len(pool), size=recipe.batch_size)]
@@ -454,9 +429,9 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
         grads = {name: p.grad for name, p in params.items() if p.grad is not None}
         norm = clip_gradients(grads, recipe.clip)
         if not (math.isfinite(loss.item()) and math.isfinite(norm)):
-            model.set_param_values(best_params)
+            model.store.load_state(*best_state)
             raise FloatingPointError(f"non-finite loss {loss.item()} or gradient norm "
-                                     f"{norm} at step {it}; best parameters restored")
+                                     f"{norm} at step {it}; best state restored")
         adadelta_step(params, grads, state, rho=recipe.rho, eps=recipe.eps)
 
         if it % recipe.val_interval == 0 or it == recipe.iterations:
@@ -464,12 +439,12 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
             log.append((it, float(loss.item()), acc))
             if acc > best_acc:
                 best_acc, best_step = acc, it
-                best_params = model.snapshot()
+                best_state = model.store.state()
             if recipe.stop_accuracy is not None and acc >= recipe.stop_accuracy:
                 break
-    model.set_param_values(best_params)
+    model.store.load_state(*best_state)
     return TrainResult(best_step=best_step, best_accuracy=best_acc,
-                       best_params=best_params, log=log)
+                       best_state=best_state, log=log)
 
 
 def fraction_sweep(cfg: PipelineConfig, recipe: TrainRecipe, fractions,

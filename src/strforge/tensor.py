@@ -546,7 +546,9 @@ class ParamStore:
 
     Every module of a model creates its parameters here, in one dtype, so
     initialization, training, counts and checkpoints read one list, in
-    creation order.
+    creation order. `state` and `load_state` are the one way to read and
+    write the whole model state, for checkpoints and for training's
+    best-step retention alike.
     """
 
     def __init__(self, dtype):
@@ -566,26 +568,48 @@ class ParamStore:
         self.bn_states[name] = state
         return state
 
+    def _arrays(self):
+        arrays = {name: t.data for name, t in self.tensors.items()}
+        for name, s in self.bn_states.items():
+            arrays[f"{name}.running_mean"] = s.running_mean
+            arrays[f"{name}.running_var"] = s.running_var
+        return arrays
+
+    def state(self):
+        """A copy of the model state: (name -> array, names of the BN layers holding statistics).
+
+        The arrays are every parameter, then each BN layer's running mean and variance."""
+        return ({name: a.copy() for name, a in self._arrays().items()},
+                [name for name, s in self.bn_states.items() if s.initialized])
+
+    def load_state(self, arrays, initialized):
+        """Overwrite the model state with one that `state` returned or a checkpoint holds.
+
+        Raises KeyError, writing nothing, if an array is missing or of another shape."""
+        own = self._arrays()
+        for name, a in own.items():
+            got = arrays[name].shape if name in arrays else "missing"
+            if got != a.shape:
+                raise KeyError(f"state array {name!r}: expected shape {a.shape}, got {got}")
+        for name, a in own.items():
+            a[...] = arrays[name]
+        for name, s in self.bn_states.items():
+            s.initialized = name in initialized
+
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               mode: str = "train") -> Tensor:
-    """Batch normalization over all axes except the channel axis.
+    """Batch normalization of an NCHW input over all axes except the channel axis.
 
-    Channel axis is 1 for 4-D (NCHW) input and the last axis for 2-D input.
     Train mode normalizes by the batch statistics and records them in `state`,
     as one graph node with the closed-form backward gx = gamma/sigma * (g -
     mean(g) - xhat * mean(g * xhat)). Eval mode is inference: a per-channel
     scale and shift by the running statistics, with no graph node. It raises
     ``StateError`` while a graph records an input that needs a gradient.
     """
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        cshape = (1, -1, 1, 1)
-    elif x.ndim == 2:
-        axes = (0,)
-        cshape = (1, -1)
-    else:
-        raise ShapeError(f"batchnorm expects 2-D or 4-D input, got {x.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"batchnorm expects 4-D (NCHW) input, got {x.shape}")
+    axes, cshape = (0, 2, 3), (1, -1, 1, 1)
 
     gam = gamma.data.reshape(cshape)
     if mode == "train":

@@ -175,9 +175,10 @@ def test_criterion_4_gradient_suite():
     rep = grad_check(lambda x: maxpool2d(x, (2, 2)).sum(), [xp])
     assert rep["max_rel_error"] < 1e-4
 
-    # batchnorm in train mode; a fixed probe keeps the loss sensitive to x
-    probe = Tensor(rng.normal(size=(4, 3)))
-    xb, g, b = t64((4, 3)), t64(3), t64(3)
+    # batchnorm in train mode, on NCHW input with 1x1 maps (the same draws as
+    # a (4, 3) batch); a fixed probe keeps the loss sensitive to x
+    probe = Tensor(rng.normal(size=(4, 3, 1, 1)))
+    xb, g, b = t64((4, 3, 1, 1)), t64(3), t64(3)
     state = BatchNormState(3, dtype=np.float64)
     rep = grad_check(
         lambda x, g, b: (batchnorm(x, g, b, state, mode="train") * probe).sum(),

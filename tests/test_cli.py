@@ -314,6 +314,28 @@ def test_eval_preds_without_a_manifest_exits_2(tmp_path, capsys, mode):
     assert not (tmp_path / "out" / "record.json").exists()
 
 
+def test_eval_dataset_named_twice_exits_2(tmp_path, capsys, monkeypatch):
+    # both pairs exist; kept, the last would silently replace the first
+    for name in ("gt.jsonl", "gt2.jsonl", "p.jsonl", "p2.jsonl"):
+        (tmp_path / name).write_text("")
+    monkeypatch.chdir(tmp_path)
+    code = main(["eval", "--manifest", "IIIT=gt.jsonl", "--manifest", "IIIT=gt2.jsonl",
+                 "--preds", "IIIT=p.jsonl", "--preds", "IIIT=p2.jsonl", "--out", "out"])
+    assert code == EXIT_USAGE
+    assert "--manifest names dataset 'IIIT' twice" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "record.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--preds", "IIIT=p.jsonl"), ("--subset", "IIIT=3000"),
+                                         ("--exclusion", "IIIT=x.jsonl")])
+def test_eval_dataset_named_twice_in_any_flag_exits_2(tmp_path, capsys, flag, value):
+    code = main(["eval"] + write_iiit_set(tmp_path) + [flag, value, flag, value,
+                                                        "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"{flag} names dataset 'IIIT' twice" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "record.json").exists()
+
+
 def write_ic03_set(tmp_path):
     """A two-entry IC03 manifest, both kept by the 867 rule, and its predictions."""
     gt, preds = tmp_path / "ic03.jsonl", tmp_path / "preds.jsonl"

@@ -103,7 +103,7 @@ def test_float32_tracks_float64_on_all_24(monkeypatch):
         for cfg in all_combinations(scale=0.125):
             m32 = assemble(cfg, dtype=np.float32)
             m64 = assemble(cfg, dtype=np.float64, initialize=False)
-            m64.set_param_values({k: p.data for k, p in m32.params().items()})
+            m64.store.load_state(*m32.store.state())
             masks = []
 
             def recording(x):

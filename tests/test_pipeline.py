@@ -291,12 +291,40 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 def test_load_missing_params_raises(tmp_path):
     model = assemble("None-VGG-None-CTC", initialize=True)
     path = tmp_path / "m.bin"
-    params = model.snapshot()
+    params, _ = model.store.state()
     params.pop("pred.ctc.bias")
     ckpt.save_params(path, params, extra={"config": "None-VGG-None-CTC", "scale": 1.0,
                                           "num_fiducials": 20})
     with pytest.raises(KeyError):
         assemble("None-VGG-None-CTC", initialize=False).load(path)
+
+
+@pytest.mark.parametrize("fault", ["missing running mean", "reshaped running mean",
+                                   "flattened weight"])
+def test_load_rejects_a_missing_or_reshaped_state_array(tmp_path, fault):
+    # every array of the state must be there, in its own shape; the model that
+    # refuses a checkpoint keeps its state
+    cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125)
+    model = assemble(cfg)
+    model.loss(Tensor(synth_toydata(4, max_len=3, seed=0).images), ["a"] * 4)  # fill BN
+    arrays, initialized = model.store.state()
+    name = next(k for k in arrays if k.endswith(".running_mean" if "mean" in fault
+                                                 else ".weight"))
+    if fault == "missing running mean":
+        del arrays[name]
+    else:
+        arrays[name] = arrays[name].reshape(1, -1)
+    path = tmp_path / "m.bin"
+    ckpt.save_params(path, arrays, extra={"config": cfg.name, "scale": cfg.scale,
+                                          "num_fiducials": cfg.num_fiducials,
+                                          "bn_initialized": initialized})
+    loader = assemble(cfg, initialize=False)
+    before = loader.store.state()
+    with pytest.raises(KeyError, match=name):
+        loader.load(path)
+    after = loader.store.state()
+    assert after[1] == before[1] == []
+    assert all(np.array_equal(after[0][k], v) for k, v in before[0].items())
 
 
 @pytest.mark.parametrize("saved, loader", [
@@ -355,8 +383,8 @@ def test_train_logs_and_keeps_best(tmp_path):
     assert res.best_step in (3, 6)
     assert res.best_accuracy == max(row[2] for row in res.log)
     # the model ends holding the best parameters
-    assert all(np.array_equal(model.params()[k].data, v)
-               for k, v in res.best_params.items())
+    held, _ = model.store.state()
+    assert all(np.array_equal(held[k], v) for k, v in res.best_state[0].items())
     log_path = tmp_path / "log.csv"
     res.write_log(log_path)
     text = log_path.read_text()
@@ -383,8 +411,8 @@ def test_fraction_one_matches_plain_train():
     m2 = assemble(cfg)
     r2 = train(m2, _tiny_recipe(), tr, va)
     assert r1.log == r2.log
-    for k in r1.best_params:
-        assert np.array_equal(r1.best_params[k], r2.best_params[k])
+    for k in r1.best_state[0]:
+        assert np.array_equal(r1.best_state[0][k], r2.best_state[0][k])
 
 
 def test_fraction_sweep_runs():
@@ -399,12 +427,12 @@ def test_fraction_sweep_runs():
 def test_non_finite_training_raises_and_restores():
     cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
     model = assemble(cfg)
-    before = model.snapshot()
+    before, _ = model.store.state()
     tr = synth_toydata(8, max_len=3, seed=1)
     nan_set = ToyDataset(np.full_like(tr.images, np.nan), tr.labels)
     with pytest.raises(FloatingPointError, match="step 1"):
         train(model, _tiny_recipe(), nan_set, synth_toydata(4, max_len=3, seed=2))
-    after = model.snapshot()
+    after, _ = model.store.state()
     assert all(np.array_equal(after[k], v) for k, v in before.items())
 
 
@@ -416,14 +444,70 @@ def test_non_finite_step_restores_the_best_parameters():
     va = synth_toydata(4, max_len=3, seed=2)
     recipe = _tiny_recipe(batch_size=2, iterations=10, val_interval=1)
     model = assemble(cfg)
-    initial = model.snapshot()
+    initial, _ = model.store.state()
     with pytest.raises(FloatingPointError, match="step 3"):
         train(model, recipe, tr, va)
     ref = train(assemble(cfg), _tiny_recipe(batch_size=2, iterations=2, val_interval=1),
                 tr, va)
-    after = model.snapshot()
-    assert all(np.array_equal(after[k], v) for k, v in ref.best_params.items())
+    after, _ = model.store.state()
+    assert all(np.array_equal(after[k], v) for k, v in ref.best_state[0].items())
     assert not all(np.array_equal(after[k], v) for k, v in initial.items())
+
+
+def _state_bytes(model):
+    arrays, initialized = model.store.state()
+    return {k: (v.shape, v.tobytes()) for k, v in arrays.items()}, initialized
+
+
+def test_train_returns_the_best_steps_whole_state():
+    # the best step (3) precedes the last (12): the model train() returns holds
+    # the parameters and the batch-norm statistics of a run stopped at step 3,
+    # bit for bit, and so computes the same eval-mode loss
+    cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
+    tr = synth_toydata(64, max_len=3, seed=1)
+    va = synth_toydata(16, max_len=3, seed=2)
+    full, stopped = assemble(cfg), assemble(cfg)
+    res = train(full, TrainRecipe(batch_size=8, iterations=12, val_interval=3, seed=0), tr, va)
+    ref = train(stopped, TrainRecipe(batch_size=8, iterations=3, val_interval=3, seed=0), tr, va)
+    assert (res.best_step, ref.best_step, len(res.log)) == (3, 3, 4)
+    assert _state_bytes(full) == _state_bytes(stopped)
+    assert _state_bytes(full)[1] == list(full.store.bn_states)
+    x = Tensor(va.images)
+    assert (full.loss(x, va.labels, mode="eval").item()
+            == stopped.loss(x, va.labels, mode="eval").item())
+
+
+def test_non_finite_step_restores_the_batch_norm_statistics_too():
+    # the setup of test_non_finite_step_restores_the_best_parameters: the NaN
+    # batch of step 3 fills the running statistics with NaN, and the restore
+    # brings back those of the best step with its parameters
+    cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
+    tr = synth_toydata(16, max_len=3, seed=1)
+    tr.images[3] = np.nan
+    va = synth_toydata(4, max_len=3, seed=2)
+    model, ref = assemble(cfg), assemble(cfg)
+    with pytest.raises(FloatingPointError, match="step 3; best state restored"):
+        train(model, _tiny_recipe(batch_size=2, iterations=10, val_interval=1), tr, va)
+    train(ref, _tiny_recipe(batch_size=2, iterations=2, val_interval=1), tr, va)
+    assert _state_bytes(model) == _state_bytes(ref)
+    assert all(np.isfinite(a).all() for a in model.store.state()[0].values())
+    x = Tensor(va.images)
+    assert model.decode(x) == ref.decode(x)
+
+
+def test_non_finite_step_before_any_validation_restores_unfilled_batch_norm():
+    # no validation has run, so the state to restore is the initial one: batch
+    # norm holds no statistics again, and inference refuses to run
+    cfg = PipelineConfig("None", "VGG", "None", "CTC", scale=0.125, seed=0)
+    model, fresh = assemble(cfg), assemble(cfg)
+    tr = synth_toydata(8, max_len=3, seed=1)
+    nan_set = ToyDataset(np.full_like(tr.images, np.nan), tr.labels)
+    with pytest.raises(FloatingPointError, match="step 1"):
+        train(model, _tiny_recipe(), nan_set, synth_toydata(4, max_len=3, seed=2))
+    assert _state_bytes(model) == _state_bytes(fresh)
+    assert not any(s.initialized for s in model.store.bn_states.values())
+    with pytest.raises(StateError):
+        model.decode(Tensor(tr.images))
 
 
 def test_training_determinism_bit_identical():
@@ -434,7 +518,7 @@ def test_training_determinism_bit_identical():
     def run():
         model = assemble(cfg)
         res = train(model, _tiny_recipe(seed=7), tr, va)
-        return res.log, model.snapshot()
+        return res.log, model.store.state()[0]
 
     log1, snap1 = run()
     log2, snap2 = run()
