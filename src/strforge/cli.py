@@ -279,7 +279,7 @@ def build_parser():
 
     t = sub.add_parser("train", help="train a combination on synthetic data")
     add_pipeline(t, scale=0.125)
-    t.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    t.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     t.add_argument("--rho", type=float, default=0.95, help="AdaDelta decay")
     t.add_argument("--clip", type=float, default=5.0, help="gradient clip norm")
     t.add_argument("--batch", type=int, default=32, help="batch size")
@@ -303,7 +303,7 @@ def build_parser():
                    help="checkpoint mode: must match the checkpoint's combination")
     e.add_argument("--scale", type=float, default=None,
                    help="checkpoint mode: must match the checkpoint's channel scale")
-    e.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    e.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     e.add_argument("--checkpoint", default=None, help="checkpoint to score")
     e.add_argument("--val-size", type=_at_least(0), default=200, help="synthetic eval size")
     e.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
@@ -344,7 +344,7 @@ def build_parser():
 
     s = sub.add_parser("synthgen", help="generate a synthetic toy dataset")
     s.add_argument("--n", type=_at_least(0), default=1000, help="sample count")
-    s.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    s.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     s.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synthgen)

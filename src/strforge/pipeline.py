@@ -39,7 +39,7 @@ from .toydata import synth_toydata  # re-exported: the pipeline's data source
 
 __all__ = [
     "ConfigError", "PipelineConfig", "TrainRecipe", "Model", "PRESETS",
-    "assemble", "all_combinations", "he_init", "adadelta_step", "AdaDeltaState",
+    "assemble", "all_combinations", "adadelta_step", "AdaDeltaState",
     "clip_gradients", "train", "fraction_sweep", "synth_toydata",
 ]
 
@@ -75,6 +75,8 @@ class PipelineConfig:
         object.__setattr__(self, "feat", _match(self.feat, FEAT_OPTIONS, "Feat"))
         object.__setattr__(self, "seq", _match(self.seq, SEQ_OPTIONS, "Seq"))
         object.__setattr__(self, "pred", _match(self.pred, PRED_OPTIONS, "Pred"))
+        if not 0.0 < self.scale <= 1.0:  # also rejects NaN
+            raise ConfigError(f"scale must be in (0, 1], got {self.scale}")
 
     @property
     def name(self) -> str:
@@ -162,7 +164,7 @@ class Model:
 
     def initialize(self):
         """He-initialize all stages, then reset the TPS head to identity."""
-        he_init(self.store.tensors, self.cfg.seed)
+        self.store.initialize(self.cfg.seed)
         if self.tps is not None:
             self.tps.reset_head()
         return self
@@ -243,44 +245,6 @@ def assemble(cfg, dtype=np.float32, initialize=True) -> Model:
     if initialize:
         model.initialize()
     return model
-
-
-# -- initialization ---------------------------------------------------------------
-
-
-def he_init(params: dict, seed: int = 0) -> None:
-    """He initialization: weights ~ N(0, 2/fan_in); biases zero.
-
-    Exceptions: batch-norm gains are set to 1, LSTM biases get forget gate 1,
-    and 1-D scoring vectors (attention v) are treated as weights. Draws are
-    made in sorted name order so a fixed seed is bit-reproducible regardless
-    of dict ordering.
-    """
-    rng = np.random.default_rng(seed)
-    for name in sorted(params):
-        p = params[name]
-        base = name.rsplit(".", 1)[-1]
-        if p.ndim >= 2:
-            fan_in = int(np.prod(p.shape[1:]))
-            p.data[...] = rng.normal(0.0, math.sqrt(2.0 / fan_in),
-                                     p.shape).astype(p.dtype)
-        elif base in ("vec_score",):
-            p.data[...] = rng.normal(0.0, math.sqrt(2.0 / p.shape[0]),
-                                     p.shape).astype(p.dtype)
-        elif base == "gamma":
-            p.data[...] = 1.0
-        else:
-            p.data[...] = 0.0
-            if base in ("bias", "b_lstm") and _is_lstm_bias(name, p):
-                h = p.shape[0] // 4
-                p.data[h:2 * h] = 1.0
-
-
-def _is_lstm_bias(name, p):
-    if name.endswith(".b_lstm"):
-        return True
-    # BiLSTM direction biases are (4H,) under a .fwd/.bwd scope.
-    return name.endswith(".bias") and (".fwd." in name or ".bwd." in name)
 
 
 # -- optimizer --------------------------------------------------------------------

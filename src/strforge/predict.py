@@ -244,7 +244,8 @@ class AttnDecoder:
     Scores e_ti = v^T tanh(W s_{t-1} + V h_i + b); the context is the
     alpha-weighted sum of H; the LSTM consumes the one-hot previous symbol
     concatenated with the context; the output head is a 37-way softmax.
-    Parameters are created zero-filled in `store`; their dtype is the decoder's.
+    Parameters are created in `store`, in its dtype: weights and the score vector v
+    for its He draw, biases zero except the LSTM forget-gate slice, which starts at 1.
     """
 
     def __init__(self, store, input_size=256, hidden_size=256):
@@ -252,10 +253,11 @@ class AttnDecoder:
         self.w_score = store.new("attn.w_score", (hidden_size, hidden_size))  # W
         self.v_score = store.new("attn.v_score", (hidden_size, input_size))   # V
         self.b_score = store.new("attn.b_score", (hidden_size,))              # b
-        self.vec_score = store.new("attn.vec_score", (hidden_size,))          # v
+        self.vec_score = store.new("attn.vec_score", (hidden_size,), he=True)  # v
         self.w_ih = store.new("attn.w_ih", (4 * hidden_size, NUM_CLASSES + input_size))
         self.w_hh = store.new("attn.w_hh", (4 * hidden_size, hidden_size))
         self.b_lstm = store.new("attn.b_lstm", (4 * hidden_size,))
+        self.b_lstm.data[hidden_size:2 * hidden_size] = 1.0  # forget gate starts open
         self.w_out = store.new("attn.w_out", (NUM_CLASSES, hidden_size))
         self.b_out = store.new("attn.b_out", (NUM_CLASSES,))
 

@@ -8,8 +8,8 @@ FC layer back to the hidden width, after every layer including the last, so
 downstream predictors consume width-H vectors. The "None" sequence option is
 no module at all: the model passes V through.
 
-Parameters are created zero-filled in the model's ParamStore; initialization
-policy lives with the training pipeline.
+Parameters are created in the model's ParamStore: weights for its He draw,
+biases zero except each LSTM direction's forget-gate slice, which starts at 1.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ class _LstmDirection:
         self.w_ih = store.new(f"{name}.w_ih", (4 * hidden_size, input_size))
         self.w_hh = store.new(f"{name}.w_hh", (4 * hidden_size, hidden_size))
         self.bias = store.new(f"{name}.bias", (4 * hidden_size,))
+        self.bias.data[hidden_size:2 * hidden_size] = 1.0  # forget gate starts open
 
 
 class BiLSTMLayer:

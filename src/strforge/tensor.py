@@ -24,6 +24,7 @@ runs one kernel, a chunked im2col correlation, for forward and input gradient.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -546,22 +547,40 @@ class ParamStore:
 
     Every module of a model creates its parameters here, in one dtype, so
     initialization, training, counts and checkpoints read one list, in
-    creation order. `state` and `load_state` are the one way to read and
-    write the whole model state, for checkpoints and for training's
-    best-step retention alike.
+    creation order. The module sets each tensor's starting value when it
+    creates it; `initialize` then makes the one random draw. `state` and
+    `load_state` are the one way to read and write the whole model state,
+    for checkpoints and for training's best-step retention alike.
     """
 
     def __init__(self, dtype):
         self.dtype = dtype
         self.tensors = {}    # name -> Tensor with requires_grad
         self.bn_states = {}  # name -> BatchNormState
+        self._he = set()     # names of 1-D tensors that `initialize` draws
 
-    def new(self, name, shape, fill=0.0):
+    def new(self, name, shape, fill=0.0, he=False):
+        """A parameter filled with `fill`; `he` marks a 1-D tensor for `initialize` to draw."""
         if name in self.tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
         tensor = Tensor(np.full(shape, fill, dtype=self.dtype), requires_grad=True)
         self.tensors[name] = tensor
+        if he:
+            self._he.add(name)
         return tensor
+
+    def initialize(self, seed):
+        """He initialization: draw N(0, 2/fan_in) for every tensor of two or more axes
+        (fan-in: all axes but the first) and every tensor created with ``he=True``
+        (fan-in: its length). Other tensors keep their creation value. Draws are made
+        in sorted name order, so a seed gives the same bits whatever the creation order."""
+        rng = np.random.default_rng(seed)
+        for name in sorted(self.tensors):
+            p = self.tensors[name]
+            if p.ndim >= 2 or name in self._he:
+                fan_in = int(np.prod(p.shape[1:] if p.ndim >= 2 else p.shape))
+                p.data[...] = rng.normal(0.0, math.sqrt(2.0 / fan_in),
+                                         p.shape).astype(p.dtype)
 
     def bn_state(self, name, channels):
         state = BatchNormState(channels, dtype=self.dtype)

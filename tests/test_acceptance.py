@@ -225,11 +225,10 @@ def test_criterion_4_gradient_suite():
     # away from exact pixel centers, where bilinear interpolation has kinks
     # that break finite differences.
     from strforge.tps import TpsTransformer
-    from strforge.pipeline import he_init
 
     tps_store = ParamStore(np.float64)
     tps = TpsTransformer(tps_store, num_fiducials=6, scale=0.125, out_size=(4, 6))
-    he_init(tps_store.tensors, seed=0)
+    tps_store.initialize(seed=0)
     fc2 = tps.loc_net.layers[-1]
     fc2.weight.data[...] = 0.0
     fc2.bias.data[...] = rng.normal(0, 0.4, fc2.bias.shape)

@@ -80,13 +80,28 @@ def test_train_hyperparameter_that_fails_silently_exits_2(tmp_path, capsys, monk
                                   ["eval", "--val-size", "-3"],
                                   ["eval", "--max-len", "0"],
                                   ["synthgen", "--n", "-2"],
-                                  ["synthgen", "--max-len", "0"]])
+                                  ["synthgen", "--max-len", "0"],
+                                  ["train", "--pipeline", "None-VGG-None-CTC", "--seed", "-1"],
+                                  ["eval", "--seed", "-1"],
+                                  ["synthgen", "--n", "2", "--seed", "-4"]])
 def test_negative_size_or_empty_label_length_exits_2_naming_the_flag(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
     assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["train", "--pipeline", "None-VGG-None-CTC", "--iters", "2",
+                                   "--scale", "0"],
+                                  ["train", "--pipeline", "None-VGG-None-CTC", "--iters", "2",
+                                   "--scale", "nan"],
+                                  ["describe", "--pipeline", "CRNN", "--scale", "3"]])
+def test_scale_outside_unit_interval_exits_2_naming_the_scale(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "error: scale must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "checkpoint.bin").exists()
 
 
 def test_eval_checkpoint_on_an_empty_set_exits_2(tmp_path, capsys):

@@ -23,13 +23,14 @@ from strforge.pipeline import (
     assemble,
     clip_gradients,
     fraction_sweep,
-    he_init,
     train,
     validate,
     _training_indices,
 )
 from strforge import checkpoint as ckpt
-from strforge.tensor import StateError, Tensor, no_grad
+from strforge.predict import AttnDecoder
+from strforge.seqmodel import BiLSTMLayer
+from strforge.tensor import ParamStore, StateError, Tensor, no_grad
 from strforge.toydata import ToyDataset, synth_toydata
 
 
@@ -55,6 +56,12 @@ def test_config_invalid_option_raises():
         PipelineConfig("TPS", "DenseNet", "BiLSTM", "Attn")
     with pytest.raises(ConfigError):
         PipelineConfig.from_string("TPS-VGG-CTC")  # wrong arity
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.125, 1.5, 3.0, float("nan")])
+def test_config_scale_outside_unit_interval_raises(scale):
+    with pytest.raises(ConfigError, match="scale"):
+        PipelineConfig.from_string("CRNN", scale=scale)
 
 
 def test_presets():
@@ -87,50 +94,66 @@ def test_all_combinations_distinct_24():
 def test_he_init_variance_statistical():
     # A (200, 512) weight gives 102,400 samples; sample variance of
     # N(0, 2/512) should land within 5% of the target.
-    w = Tensor(np.zeros((200, 512)), requires_grad=True)
-    he_init({"layer.weight": w}, seed=3)
+    store = ParamStore(np.float64)
+    w = store.new("layer.weight", (200, 512))
+    store.initialize(seed=3)
     target = 2.0 / 512
     assert abs(np.var(w.data) - target) < 0.05 * target
     assert abs(np.mean(w.data)) < 0.005
 
 
 def test_he_init_biases_zero_and_bn_gamma_one():
-    params = {
-        "feat.conv1.weight": Tensor(np.ones((8, 1, 3, 3)), requires_grad=True),
-        "feat.conv1.bias": Tensor(np.ones(8), requires_grad=True),
-        "feat.bn1.gamma": Tensor(np.zeros(8), requires_grad=True),
-        "feat.bn1.beta": Tensor(np.ones(8), requires_grad=True),
-    }
-    he_init(params, seed=0)
+    model = assemble(PipelineConfig.from_string("CRNN", scale=0.125))
+    params = model.params()
     assert np.all(params["feat.conv1.bias"].data == 0.0)
     assert np.all(params["feat.bn1.gamma"].data == 1.0)
     assert np.all(params["feat.bn1.beta"].data == 0.0)
+    assert np.std(params["feat.conv1.weight"].data) > 0.0  # the weights were drawn
 
 
 def test_he_init_lstm_forget_gate_bias():
-    b = Tensor(np.ones(4 * 16), requires_grad=True)
-    he_init({"seq.layer0.fwd.bias": b}, seed=0)
-    assert np.all(b.data[16:32] == 1.0)       # forget gate block
-    assert np.all(b.data[:16] == 0.0)
-    assert np.all(b.data[32:] == 0.0)
-    # a plain head bias stays all-zero
-    b2 = Tensor(np.ones(64), requires_grad=True)
-    he_init({"pred.ctc.bias": b2}, seed=0)
-    assert np.all(b2.data == 0.0)
+    store = ParamStore(np.float64)
+    layer = BiLSTMLayer(store, "seq.layer1", input_size=8, hidden_size=16, output_size=16)
+    dec = AttnDecoder(store, input_size=16, hidden_size=16)
+    store.initialize(seed=0)
+    for b in (layer.fwd.bias, layer.bwd.bias, dec.b_lstm):
+        assert b.shape == (4 * 16,)
+        assert np.all(b.data[16:32] == 1.0)       # forget gate block
+        assert np.all(b.data[:16] == 0.0)
+        assert np.all(b.data[32:] == 0.0)
+    # plain biases stay all-zero
+    for b in (layer.fc_b, dec.b_out, dec.b_score):
+        assert np.all(b.data == 0.0)
+    params = assemble(PipelineConfig.from_string("CRNN", scale=0.125)).params()
+    h = params["seq.layer1.fwd.bias"].shape[0] // 4
+    assert np.all(params["seq.layer1.fwd.bias"].data[h:2 * h] == 1.0)
+    assert np.all(params["pred.ctc.bias"].data == 0.0)
 
 
 def test_he_init_deterministic():
-    def draw():
-        params = {
-            "a.weight": Tensor(np.zeros((16, 32)), requires_grad=True),
-            "b.weight": Tensor(np.zeros((8, 8, 3, 3)), requires_grad=True),
-        }
-        he_init(params, seed=11)
-        return {k: v.data.copy() for k, v in params.items()}
+    def draw(names):
+        store = ParamStore(np.float64)
+        shapes = {"a.weight": (16, 32), "b.weight": (8, 8, 3, 3), "c.vec": (12,)}
+        for name in names:
+            store.new(name, shapes[name], he=name == "c.vec")
+        store.initialize(seed=11)
+        return {k: v.data.copy() for k, v in store.tensors.items()}
 
-    one, two = draw(), draw()
+    one, two = draw(["a.weight", "b.weight", "c.vec"]), draw(["c.vec", "b.weight", "a.weight"])
     for k in one:
         assert np.array_equal(one[k], two[k])
+    assert np.std(one["c.vec"]) > 0.0
+
+
+def test_he_init_keeps_unmarked_low_rank_tensors_at_their_creation_value():
+    store = ParamStore(np.float64)
+    scalar = store.new("x.scalar", (), fill=0.5)
+    vec = store.new("x.vec", (6,), fill=0.25)
+    marked = store.new("x.marked", (6,), fill=0.25, he=True)
+    store.initialize(seed=0)
+    assert scalar.data == 0.5
+    assert np.all(vec.data == 0.25)
+    assert not np.any(marked.data == 0.25)
 
 
 # ---------------------------------------------------------------------------
