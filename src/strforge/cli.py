@@ -40,6 +40,7 @@ from .pipeline import (
 )
 from .predict import CodecError
 from .tensor import StateError
+from .toydata import MAX_WORD_LEN
 from .tps import DegenerateFiducialsError
 from .tradeoff import emit_report, load_fixture
 
@@ -103,10 +104,12 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _at_least(low):
-    def count(text):  # an argparse type: an integer no smaller than low
+def _at_least(low, high=None):
+    def count(text):  # an argparse type: an integer no smaller than low, nor larger than high
         if int(text) < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if high is not None and int(text) > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return int(text)
     return count
 
@@ -292,7 +295,7 @@ def build_parser():
                       help="comma list for a fraction sweep, e.g. 0.2,0.4,1.0")
     t.add_argument("--train-size", type=_at_least(0), default=2000, help="synthetic set size")
     t.add_argument("--val-size", type=_at_least(0), default=200, help="validation set size")
-    t.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
+    t.add_argument("--max-len", type=_at_least(1, MAX_WORD_LEN), default=5, help="max label length")
     t.add_argument("--stop-accuracy", type=float, default=None,
                    help="early-stop validation accuracy")
     t.add_argument("--out", required=True, help="output directory")
@@ -306,7 +309,7 @@ def build_parser():
     e.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     e.add_argument("--checkpoint", default=None, help="checkpoint to score")
     e.add_argument("--val-size", type=_at_least(0), default=200, help="synthetic eval size")
-    e.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
+    e.add_argument("--max-len", type=_at_least(1, MAX_WORD_LEN), default=5, help="max label length")
     e.add_argument("--manifest", action="append", default=None,
                    metavar="DATASET=PATH", help="ground-truth manifest per dataset")
     e.add_argument("--preds", action="append", default=None,
@@ -345,7 +348,7 @@ def build_parser():
     s = sub.add_parser("synthgen", help="generate a synthetic toy dataset")
     s.add_argument("--n", type=_at_least(0), default=1000, help="sample count")
     s.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
-    s.add_argument("--max-len", type=_at_least(1), default=5, help="max label length")
+    s.add_argument("--max-len", type=_at_least(1, MAX_WORD_LEN), default=5, help="max label length")
     s.add_argument("--out", required=True, help="output directory")
     s.set_defaults(func=cmd_synthgen)
     return p

@@ -6,24 +6,19 @@ probabilities are computed by the forward (alpha) dynamic program over the
 blank-interleaved label, in log space, as one graph node whose backward is the
 closed-form alpha-beta occupation posterior, so ``ctc_loss_batch``
 backpropagates into the frame log-probabilities. A brute-force
-path-enumeration oracle validates the recursion on small instances. Decoding
-is greedy for both heads; no beam search.
+path-enumeration oracle validates the recursion on small instances. The
+attention math is one NumPy step, ``AttnDecoder.step``: greedy decoding calls
+it on arrays, and the teacher-forced loss runs it inside one graph node,
+``AttnDecoder.forward``. Decoding is greedy for both heads; no beam search.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    concat,
-    log_softmax,
-    lstm_cell,
-    matmul,
-    softmax,
-    tanh,
-)
+from .tensor import ShapeError, Tensor, _sigmoid, log_softmax
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 SPECIAL_INDEX = 36  # blank (CTC) / EOS (attention)
@@ -242,8 +237,8 @@ class AttnDecoder:
     """Content-based attention decoder with a 256-state LSTM core.
 
     Scores e_ti = v^T tanh(W s_{t-1} + V h_i + b); the context is the
-    alpha-weighted sum of H; the LSTM consumes the one-hot previous symbol
-    concatenated with the context; the output head is a 37-way softmax.
+    alpha-weighted sum of H; the LSTM input is the previous symbol's column of
+    the input weights plus the context; the output head is a 37-way softmax.
     Parameters are created in `store`, in its dtype: weights and the score vector v
     for its He draw, biases zero except the LSTM forget-gate slice, which starts at 1.
     """
@@ -261,37 +256,83 @@ class AttnDecoder:
         self.w_out = store.new("attn.w_out", (NUM_CLASSES, hidden_size))
         self.b_out = store.new("attn.b_out", (NUM_CLASSES,))
 
-    def init_state(self, batch):
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=self.b_out.dtype))
-        c = Tensor(np.zeros((batch, self.hidden_size), dtype=self.b_out.dtype))
-        return h, c
+    def keys(self, hseq):
+        """V h_i + b of each encoder state in (B, I, D) `hseq`: (B, I, H), the same at every step."""
+        return hseq @ self.v_score.data.T + self.b_score.data
 
-    def start_onehot(self, batch):
-        """The step-0 previous symbol: the special class acts as GO."""
-        y0 = np.zeros((batch, NUM_CLASSES), dtype=self.b_out.dtype)
-        y0[:, SPECIAL_INDEX] = 1.0
-        return Tensor(y0)
+    def step(self, y_prev, h, c, hseq, keys):
+        """One decode step on arrays: previous symbols `y_prev` (B,), GO being the special
+        class; state `h`, `c` (B, H); encoder states `hseq` (B, I, D) and their `keys`.
+        Returns logits (B, 37), h, c and, for the backward of `forward`, the tanh scores,
+        alpha, the context, the (input, forget, cell, output) gate activations and tanh(c)."""
+        hid = self.hidden_size
+        act = np.tanh(keys + (h @ self.w_score.data.T)[:, None])
+        scores = act @ self.vec_score.data
+        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        context = (alpha[:, None] @ hseq)[:, 0]
+        pre = self.w_ih.data[:, y_prev].T + context @ self.w_ih.data[:, NUM_CLASSES:].T
+        pre += h @ self.w_hh.data.T + self.b_lstm.data
+        gates = _sigmoid(pre)  # i, f and o
+        gates[:, 2 * hid:3 * hid] = np.tanh(pre[:, 2 * hid:3 * hid])
+        c = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 2 * hid:3 * hid]
+        tanh_c = np.tanh(c)
+        h = gates[:, 3 * hid:] * tanh_c
+        return h @ self.w_out.data.T + self.b_out.data, h, c, (act, alpha, context, gates, tanh_c)
 
-    def step(self, y_prev: Tensor, state, hseq: Tensor):
-        """One decode step.
+    def forward(self, hseq: Tensor, targets) -> Tensor:
+        """Teacher-forced logits (B, T, 37) for (B, T) `targets`, as one graph node; step t
+        reads targets[:, t - 1] as its previous symbol, GO at t = 0. The backward runs BPTT
+        through the LSTM core, the context and the score path, then forms each weight
+        gradient with one GEMM over all T*B rows, as ``lstm_sequence`` does."""
+        enc = hseq.data
+        batch, _, width = enc.shape
+        steps, hid, rows = targets.shape[1], self.hidden_size, targets.size
+        prev = np.concatenate([np.full((batch, 1), SPECIAL_INDEX), targets[:, :-1]], axis=1).T
+        keys = self.keys(enc)
+        hs, cs = np.zeros((2, steps + 1, batch, hid), dtype=keys.dtype)  # [t + 1]: after step t
+        logits, saved = np.empty((steps, batch, NUM_CLASSES), dtype=keys.dtype), []
+        for t in range(steps):
+            logits[t], hs[t + 1], cs[t + 1], s = self.step(prev[t], hs[t], cs[t], enc, keys)
+            saved.append(s)
+        acts, alphas, contexts, gates, tanh_cs = (np.stack(a) for a in zip(*saved))
 
-        y_prev: (B, 37) one-hot; state: (h, c) each (B, 256); hseq: (B, I, D).
-        Returns (logits (B, 37), new state, alpha (B, I)).
-        """
-        h_prev, c_prev = state
-        batch, nsteps, _ = hseq.shape
-        # (B, I, A) scores after tanh; contract with v.
-        wh = matmul(h_prev, self.w_score.T)                      # (B, A)
-        vh = matmul(hseq.reshape(batch * nsteps, -1), self.v_score.T)
-        vh = vh.reshape(batch, nsteps, -1)
-        act = tanh(vh + wh.reshape(batch, 1, -1) + self.b_score)
-        scores = (act * self.vec_score).sum(axis=2)              # (B, I)
-        alpha = softmax(scores, axis=1)
-        context = (alpha.reshape(batch, nsteps, 1) * hseq).sum(axis=1)  # (B, D)
-        x = concat([y_prev, context], axis=1)
-        h, c = lstm_cell(x, h_prev, c_prev, self.w_ih, self.w_hh, self.b_lstm)
-        logits = matmul(h, self.w_out.T) + self.b_out
-        return logits, (h, c), alpha
+        def backward(g):
+            g = g.transpose(1, 0, 2)  # time-major, (T, B, 37)
+            w_rec = np.concatenate([self.w_ih.data[:, NUM_CLASSES:], self.w_hh.data], axis=1)
+            dh_out = g @ self.w_out.data
+            dgates, dctx, dscores = np.empty_like(gates), np.empty_like(contexts), np.empty_like(alphas)
+            dwh, dkeys = np.empty_like(hs[1:]), np.zeros_like(keys)
+            dh, dc = np.zeros_like(hs[:2])
+            for t in range(steps - 1, -1, -1):
+                i, f, gc, o = (gates[t, :, k * hid:(k + 1) * hid] for k in range(4))
+                dh += dh_out[t]
+                dgates[t, :, 3 * hid:] = dh * tanh_cs[t] * o * (1 - o)
+                dc += dh * o * (1 - tanh_cs[t] ** 2)
+                dgates[t, :, :hid] = dc * gc * i * (1 - i)
+                dgates[t, :, hid:2 * hid] = dc * cs[t] * f * (1 - f)
+                dgates[t, :, 2 * hid:3 * hid] = dc * i * (1 - gc * gc)
+                dc *= f
+                dctx[t], dh = np.split(dgates[t] @ w_rec, [width], axis=1)
+                # context = alpha H, alpha = softmax(act v), act = tanh(keys + W h_prev)
+                dalpha = (enc @ dctx[t][:, :, None])[:, :, 0]
+                dscores[t] = alphas[t] * (dalpha - (dalpha * alphas[t]).sum(axis=1, keepdims=True))
+                dpre = dscores[t][:, :, None] * self.vec_score.data * (1 - acts[t] ** 2)
+                dkeys += dpre
+                dwh[t] = dpre.sum(axis=1)
+                dh += dwh[t] @ self.w_score.data
+            d2, h2, k2 = dgates.reshape(rows, -1), hs[:-1].reshape(rows, -1), dkeys.reshape(-1, hid)
+            x2 = np.concatenate([np.eye(NUM_CLASSES, dtype=d2.dtype)[prev.reshape(-1)],
+                                 contexts.reshape(rows, -1)], axis=1)
+            genc = dkeys @ self.v_score.data + alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2)
+            return (genc, dwh.reshape(rows, -1).T @ h2, k2.T @ enc.reshape(-1, width),
+                    k2.sum(axis=0), dscores.reshape(-1) @ acts.reshape(-1, hid),
+                    d2.T @ x2, d2.T @ h2, d2.sum(axis=0),
+                    g.reshape(rows, -1).T @ hs[1:].reshape(rows, -1), g.sum(axis=(0, 1)))
+
+        parents = (hseq, self.w_score, self.v_score, self.b_score, self.vec_score,
+                   self.w_ih, self.w_hh, self.b_lstm, self.w_out, self.b_out)
+        return Tensor._make(np.ascontiguousarray(logits.transpose(1, 0, 2)), parents, backward)
 
 
 def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder) -> Tensor:
@@ -303,49 +344,33 @@ def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder) -> Tensor:
     batch = hseq.shape[0]
     if len(labels) != batch:
         raise ShapeError("label count does not match batch size")
-    labels = [np.asarray(lbl, dtype=np.int64) for lbl in labels]
     lengths = np.array([len(lbl) for lbl in labels])
     tmax = int(lengths.max()) + 1  # through EOS
     targets = np.full((batch, tmax), SPECIAL_INDEX, dtype=np.int64)
     for b, lbl in enumerate(labels):
         targets[b, :len(lbl)] = lbl
 
-    state = decoder.init_state(batch)
-    y_prev = decoder.start_onehot(batch)
-    total = None
-    for t in range(tmax):
-        logits, state, _ = decoder.step(y_prev, state, hseq)
-        logp = log_softmax(logits, axis=1)
-        picked = logp[np.arange(batch), targets[:, t]]
-        mask = (t <= lengths).astype(hseq.dtype)  # step len(Y) emits EOS
-        term = -(picked * Tensor(mask)).sum()
-        total = term if total is None else total + term
-        onehot = np.zeros((batch, NUM_CLASSES), dtype=hseq.dtype)
-        onehot[np.arange(batch), targets[:, t]] = 1.0
-        y_prev = Tensor(onehot)
-    return total * (1.0 / batch)
+    logp = log_softmax(decoder.forward(hseq, targets), axis=2)
+    steps = np.arange(tmax)
+    picked = logp[np.arange(batch)[:, None], steps, targets]
+    mask = (steps <= lengths[:, None]).astype(hseq.dtype)  # step len(Y) emits EOS
+    return -(picked * Tensor(mask)).sum() * (1.0 / batch)
 
 
 def attn_greedy_decode_batch(hseq: Tensor, decoder: AttnDecoder, max_len: int = 25):
-    """Batched greedy decoding; returns a list of strings."""
-    batch = hseq.shape[0]
-    state = decoder.init_state(batch)
-    y_prev = decoder.start_onehot(batch)
+    """Batched greedy decoding by ``decoder.step`` on arrays, no graph; returns a list of strings."""
+    enc, batch = hseq.data, hseq.shape[0]
+    keys = decoder.keys(enc)
+    h = c = np.zeros((batch, decoder.hidden_size), dtype=decoder.b_out.dtype)
+    y = np.full(batch, SPECIAL_INDEX)
     done = np.zeros(batch, dtype=bool)
-    seqs = [[] for _ in range(batch)]
+    picks = []
     for _ in range(max_len):
-        logits, state, _ = decoder.step(y_prev, state, hseq)
-        idx = np.argmax(logits.data, axis=1)
-        for b in range(batch):
-            if done[b]:
-                continue
-            if idx[b] == SPECIAL_INDEX:
-                done[b] = True
-            else:
-                seqs[b].append(int(idx[b]))
+        logits, h, c, _ = decoder.step(y, h, c, enc, keys)
+        y = np.argmax(logits, axis=1)
+        picks.append(y)
+        done |= y == SPECIAL_INDEX
         if done.all():
             break
-        onehot = np.zeros((batch, NUM_CLASSES), dtype=hseq.dtype)
-        onehot[np.arange(batch), idx] = 1.0
-        y_prev = Tensor(onehot)
-    return [CODEC.decode(s) for s in seqs]
+    rows = np.array(picks, dtype=np.int64).reshape(-1, batch).T
+    return [CODEC.decode(itertools.takewhile(lambda i: i != SPECIAL_INDEX, row)) for row in rows]

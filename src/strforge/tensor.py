@@ -285,17 +285,6 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
-    # -- elementwise nonlinearities -------------------------------------------
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g):
-            return (g * out_data,)
-
-        return Tensor._make(out_data, (a,), backward)
-
 
 # -- linear algebra ------------------------------------------------------------
 
@@ -368,10 +357,6 @@ def logsumexp(x: Tensor, axis: int) -> Tensor:
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x - logsumexp(x, axis=axis)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return log_softmax(x, axis=axis).exp()
 
 
 # -- structural ops ------------------------------------------------------------
@@ -665,35 +650,18 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
-# -- LSTM cell -------------------------------------------------------------------
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_ih: Tensor, w_hh: Tensor,
-              bias: Tensor):
-    """One step of a standard four-gate LSTM.
-
-    Gate order in the stacked weight matrices is (input, forget, cell, output);
-    `w_ih` is (4H, in), `w_hh` is (4H, H), `bias` is (4H,). Inputs are (B, in)
-    and (B, H); returns (h, c), each (B, H).
-    """
-    hidden = h_prev.shape[-1]
-    gates = matmul(x, w_ih.T) + matmul(h_prev, w_hh.T) + bias
-    i = sigmoid(gates[:, 0 * hidden:1 * hidden])
-    f = sigmoid(gates[:, 1 * hidden:2 * hidden])
-    g = tanh(gates[:, 2 * hidden:3 * hidden])
-    o = sigmoid(gates[:, 3 * hidden:4 * hidden])
-    c = f * c_prev + i * g
-    h = o * tanh(c)
-    return h, c
+# -- LSTM ------------------------------------------------------------------------
 
 
 def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
                   reverse: bool = False) -> Tensor:
-    """The ``lstm_cell`` recurrence over a whole (B, T, in) sequence, as one node.
+    """A standard four-gate LSTM over a whole (B, T, in) sequence, as one node.
 
-    Starts from zero state and returns the (B, T, H) hidden states; with
-    `reverse` the recurrence runs from the last step to the first, and output
-    step t still belongs to input step t. The input projection of all steps is
+    Gate order in the stacked weight matrices is (input, forget, cell, output);
+    `w_ih` is (4H, in), `w_hh` is (4H, H), `bias` is (4H,). Starts from zero
+    state and returns the (B, T, H) hidden states; with `reverse` the
+    recurrence runs from the last step to the first, and output step t still
+    belongs to input step t. The input projection of all steps is
     one GEMM before the time loop. The backward runs BPTT into a buffer of
     gate pre-activation gradients, then forms the input and weight gradients
     with one GEMM each over all B*T rows.

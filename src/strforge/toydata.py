@@ -16,6 +16,7 @@ from .predict import ALPHABET
 
 IMAGE_H = 32
 IMAGE_W = 100
+MAX_WORD_LEN = 8  # the longest word that fits IMAGE_W at glyph scale 2: 8 * 12 - 2 = 94 px
 NOISE_STD = 0.05  # additive Gaussian pixel noise, on the [-1, 1] scale
 
 # Classic 5x7 dot-matrix glyphs, one 5-byte column strip per character; each
@@ -80,20 +81,24 @@ class ToyDataset:
 
 
 def render_word(word: str, rng: np.random.Generator) -> np.ndarray:
-    """Render one word to a (1, 32, 100) array in [-1, 1]."""
+    """Render one word to a (1, 32, 100) array in [-1, 1], every glyph drawn.
+
+    The glyph pixel size is drawn as 2 or 3; a word too wide at 3 is drawn at 2.
+    """
+    if len(word) > MAX_WORD_LEN:
+        raise ValueError(f"a word of {len(word)} characters does not fit {IMAGE_W} px")
     canvas = np.zeros((IMAGE_H, IMAGE_W), dtype=np.float32)
     scale = int(rng.integers(2, 4))  # glyph pixel size 2 or 3
+    if 6 * scale * len(word) - scale > IMAGE_W:
+        scale = 2
     gw, gh = 5 * scale, 7 * scale
     spacing = scale
     total_w = len(word) * gw + max(len(word) - 1, 0) * spacing
-    total_w = min(total_w, IMAGE_W)
-    x0 = int(rng.integers(0, max(IMAGE_W - total_w, 0) + 1))
+    x0 = int(rng.integers(0, IMAGE_W - total_w + 1))
     y0 = int(rng.integers(0, max(IMAGE_H - gh, 0) + 1))
     x = x0
     for ch in word:
         bm = np.kron(glyph_bitmap(ch), np.ones((scale, scale), dtype=np.uint8))
-        if x + gw > IMAGE_W:
-            break
         canvas[y0:y0 + gh, x:x + gw] = np.maximum(canvas[y0:y0 + gh, x:x + gw],
                                                   bm.astype(np.float32))
         x += gw + spacing
@@ -104,6 +109,8 @@ def render_word(word: str, rng: np.random.Generator) -> np.ndarray:
 
 def synth_toydata(n: int, max_len: int = 5, seed: int = 0) -> ToyDataset:
     """Generate n labeled word images of 1 to max_len characters, deterministic per seed."""
+    if max_len > MAX_WORD_LEN:
+        raise ValueError(f"max_len {max_len} exceeds {MAX_WORD_LEN}, the longest word that fits")
     rng = np.random.default_rng(seed)
     chars = list(ALPHABET)
     images = np.empty((n, 1, IMAGE_H, IMAGE_W), dtype=np.float32)

@@ -53,7 +53,6 @@ from strforge.tensor import (
     conv2d,
     grad_check,
     log_softmax,
-    lstm_cell,
     maxpool2d,
 )
 from strforge.toydata import synth_toydata
@@ -185,16 +184,19 @@ def test_criterion_4_gradient_suite():
         [xb, g, b])
     assert rep["max_rel_error"] < 1e-4
 
-    # lstm_cell
-    xs = t64((2, 3))
-    h0, c0 = t64((2, 4)), t64((2, 4))
-    w_ih, w_hh, bias = t64((16, 3)), t64((16, 4)), t64(16)
-
-    def lstm_f(x, h, c, wi, wh, bb):
-        hn, cn = lstm_cell(x, h, c, wi, wh, bb)
-        return (hn * cn).sum()
-
-    rep = grad_check(lstm_f, [xs, h0, c0, w_ih, w_hh, bias])
+    # the attention decoder node: teacher-forced logits over the encoder states
+    # and every decoder weight, LSTM core included; its own generator leaves
+    # the draws of the cases below as they were
+    node_rng = np.random.default_rng(1)
+    node_store = ParamStore(np.float64)
+    node = AttnDecoder(node_store, input_size=3, hidden_size=4)
+    for p in node_store.tensors.values():
+        p.data[...] = node_rng.normal(0, 0.5, p.shape)
+    enc = Tensor(node_rng.normal(size=(2, 3, 3)), requires_grad=True)
+    targets = np.array([[5, 2, 36], [7, 36, 36]])
+    probe = Tensor(node_rng.normal(size=(2, 3, 37)))
+    rep = grad_check(lambda h, *ps: (node.forward(h, targets) * probe).sum(),
+                     [enc, *node_store.tensors.values()])
     assert rep["max_rel_error"] < 1e-4
 
     # bilinear_sample (interior grid keeps FD clear of the border clamp)

@@ -83,12 +83,17 @@ def test_train_hyperparameter_that_fails_silently_exits_2(tmp_path, capsys, monk
                                   ["synthgen", "--max-len", "0"],
                                   ["train", "--pipeline", "None-VGG-None-CTC", "--seed", "-1"],
                                   ["eval", "--seed", "-1"],
-                                  ["synthgen", "--n", "2", "--seed", "-4"]])
+                                  ["synthgen", "--n", "2", "--seed", "-4"],
+                                  ["train", "--pipeline", "CRNN", "--max-len", "9"],
+                                  ["eval", "--max-len", "9"],
+                                  ["synthgen", "--max-len", "9"]])
 def test_negative_size_or_empty_label_length_exits_2_naming_the_flag(tmp_path, capsys, argv):
+    # a label longer than 8 characters does not fit the image
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
-    assert f"argument {argv[-2]}: must be at least" in capsys.readouterr().err
+    bound = "at most 8" if int(argv[-1]) > 8 else "at least"
+    assert f"argument {argv[-2]}: must be {bound}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

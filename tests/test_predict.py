@@ -19,7 +19,7 @@ from strforge.predict import (
     ctc_loss_batch,
     encode_for,
 )
-from strforge.tensor import ParamStore, Tensor, grad_check, log_softmax, softmax
+from strforge.tensor import ParamStore, Tensor, grad_check, log_softmax
 
 
 def log_uniform(t, c):
@@ -212,33 +212,37 @@ def filled_decoder(seed, input_size=6, hidden=5):
     return dec
 
 
+def zero_state(dec):
+    return np.zeros((1, dec.hidden_size)), np.zeros((1, dec.hidden_size))
+
+
 def one_step(dec, y_prev, state, hseq):
-    """AttnDecoder.step for a single (I, D) sequence, as a batch of 1."""
-    onehot = np.zeros((1, NUM_CLASSES))
-    onehot[0, y_prev] = 1.0
-    return dec.step(Tensor(onehot), state, Tensor(np.asarray(hseq)[None]))
+    """AttnDecoder.step for a single (I, D) sequence, as a batch of 1: (logits, (h, c), alpha)."""
+    hseq = np.asarray(hseq)[None]
+    logits, h, c, (_, alpha, *_) = dec.step(np.array([y_prev]), *state, hseq, dec.keys(hseq))
+    return logits, (h, c), alpha
 
 
 class TestAttention:
     def test_singleton_alpha(self):
         dec = filled_decoder(1)
-        _, _, alpha = one_step(dec, 3, dec.init_state(1),
+        _, _, alpha = one_step(dec, 3, zero_state(dec),
                                np.random.default_rng(2).normal(size=(1, 6)))
-        assert np.allclose(alpha.data, [[1.0]])
+        assert np.allclose(alpha, [[1.0]])
 
     def test_zero_v_uniform_alpha(self):
         dec = filled_decoder(3)
         dec.vec_score.data[...] = 0.0
-        _, _, alpha = one_step(dec, 0, dec.init_state(1),
+        _, _, alpha = one_step(dec, 0, zero_state(dec),
                                np.random.default_rng(4).normal(size=(4, 6)))
-        assert np.allclose(alpha.data, 0.25)
+        assert np.allclose(alpha, 0.25)
 
     def test_hand_composed_oracle(self):
         dec = filled_decoder(5)
         rng = np.random.default_rng(6)
         hseq = rng.normal(size=(3, 6))
         hp, cp = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-        logits, (h, c), alpha = one_step(dec, 7, (Tensor(hp), Tensor(cp)), hseq)
+        logits, (h, c), alpha = one_step(dec, 7, (hp, cp), hseq)
         e = np.array([dec.vec_score.data
                       @ np.tanh(dec.w_score.data @ hp[0]
                                 + dec.v_score.data @ hseq[i] + dec.b_score.data)
@@ -258,20 +262,21 @@ class TestAttention:
         logits_ref = dec.w_out.data @ h_ref + dec.b_out.data
         probs = np.exp(logits_ref - logits_ref.max())
         probs /= probs.sum()
-        assert np.allclose(alpha.data[0], a)
-        assert np.allclose(c.data[0], c_ref)
-        assert np.allclose(h.data[0], h_ref)
-        assert np.allclose(logits.data[0], logits_ref)
-        assert np.allclose(softmax(logits, axis=1).data[0], probs)
+        assert np.allclose(alpha[0], a)
+        assert np.allclose(c[0], c_ref)
+        assert np.allclose(h[0], h_ref)
+        assert np.allclose(logits[0], logits_ref)
+        soft = np.exp(logits[0] - logits[0].max())
+        assert np.allclose(soft / soft.sum(), probs)
 
     @given(st.integers(1, 6), st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
     def test_alpha_is_distribution(self, nsteps, seed):
         dec = filled_decoder(seed)
         hseq = np.random.default_rng(seed + 99).normal(size=(nsteps, 6))
-        _, _, alpha = one_step(dec, 0, dec.init_state(1), hseq)
-        assert np.all(alpha.data >= 0)
-        assert abs(alpha.data.sum() - 1.0) < 1e-9
+        _, _, alpha = one_step(dec, 0, zero_state(dec), hseq)
+        assert np.all(alpha >= 0)
+        assert abs(alpha.sum() - 1.0) < 1e-9
 
     def test_eos_bias_empty_decode(self):
         dec = AttnDecoder(ParamStore(np.float64), input_size=6, hidden_size=5)
@@ -288,11 +293,11 @@ class TestAttention:
         dec = filled_decoder(11)
         h = np.random.default_rng(12).normal(size=(4, 6))
         out = []
-        state = dec.init_state(1)
+        state = zero_state(dec)
         prev = SPECIAL_INDEX
         for _ in range(25):
             logits, state, _ = one_step(dec, prev, state, h)
-            idx = int(np.argmax(logits.data[0]))
+            idx = int(np.argmax(logits[0]))
             if idx == SPECIAL_INDEX:
                 break
             out.append(ALPHABET[idx])
@@ -300,10 +305,13 @@ class TestAttention:
         assert attn_greedy_decode_batch(Tensor(h[None]), dec) == ["".join(out)]
 
     def test_loss_gradient(self):
+        # over the encoder states and every decoder parameter, through the one
+        # decoder node; labels of lengths 1, 3 and 5 leave masked steps in the batch
         dec = filled_decoder(13)
-        h = Tensor(np.random.default_rng(14).normal(size=(1, 3, 6)),
-                   requires_grad=True)
-        res = grad_check(lambda x: attn_loss_batch(x, [CODEC.encode("ab")], dec), [h])
+        params = [p for p in vars(dec).values() if isinstance(p, Tensor)]
+        h = Tensor(np.random.default_rng(14).normal(size=(3, 4, 6)), requires_grad=True)
+        labels = [CODEC.encode(w) for w in ("a", "b7x", "q0z3k")]
+        res = grad_check(lambda x, *ps: attn_loss_batch(x, labels, dec), [h, *params])
         assert res["passed"], res
 
     def test_batch_loss_matches_singles(self):

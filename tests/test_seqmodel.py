@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from strforge.pipeline import PipelineConfig, assemble
 from strforge.seqmodel import BiLSTMLayer, BiLSTMStack
-from strforge.tensor import ParamStore, ShapeError, Tensor, lstm_cell
+from strforge.tensor import ParamStore, ShapeError, Tensor
+from test_tensor import lstm_cell_reference
 
 
 def filled_layer(seed, input_size=8, hidden=4, out=4):
@@ -20,12 +21,12 @@ def filled_layer(seed, input_size=8, hidden=4, out=4):
 def run_one_direction(direction, steps):
     batch = steps[0].shape[0]
     hidden = direction.hidden_size
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
+    h = c = np.zeros((batch, hidden))
     out = []
     for x in steps:
-        h, c = lstm_cell(x, h, c, direction.w_ih, direction.w_hh, direction.bias)
-        out.append(h.data.copy())
+        h, c = lstm_cell_reference(x.data, h, c, direction.w_ih.data, direction.w_hh.data,
+                                   direction.bias.data)
+        out.append(h)
     return out
 
 

@@ -32,6 +32,16 @@ def naive_conv2d(x, w, stride, padding):
     return out
 
 
+def lstm_cell_reference(x, h, c, w_ih, w_hh, bias):
+    """One four-gate LSTM step on arrays, gate order (input, forget, cell, output)."""
+    hid = h.shape[1]
+    z = x @ w_ih.T + h @ w_hh.T + bias
+    sig = lambda a: 1 / (1 + np.exp(-a))
+    i, f, o = sig(z[:, :hid]), sig(z[:, hid:2 * hid]), sig(z[:, 3 * hid:])
+    c = f * c + i * np.tanh(z[:, 2 * hid:3 * hid])
+    return o * np.tanh(c), c
+
+
 def naive_maxpool2d(x, kernel, stride, padding):
     """Window maximum by explicit loops; padded cells are -inf, trailing cells floor away."""
     (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
@@ -152,10 +162,6 @@ class TestAutodiffBasics:
         assert out.data[0, 0] == -np.inf and np.isclose(out.data[1, 0], 0.0)
         out.sum().backward()
         assert np.all(np.isfinite(x.grad))
-
-    def test_softmax_rows_sum_to_one(self):
-        s = tc.softmax(Tensor(rand((5, 7), 8)), axis=1)
-        assert np.allclose(s.data.sum(axis=1), 1.0)
 
     def test_backward_on_a_constant_raises(self):
         c = Tensor(rand((3,), 1)).sum()
@@ -409,47 +415,19 @@ class TestNNOps:
         out = tc.batchnorm(x, g, b, state, mode="eval")
         assert abs(float(out.data.mean())) < 0.2
 
-    def test_lstm_cell_matches_manual(self):
-        rng = np.random.default_rng(8)
-        H, I = 4, 3
-        x, h0, c0 = rng.normal(size=(2, I)), rng.normal(size=(2, H)), rng.normal(size=(2, H))
-        w_ih, w_hh, bias = rng.normal(size=(4 * H, I)), rng.normal(size=(4 * H, H)), rng.normal(size=4 * H)
-        h, c = tc.lstm_cell(Tensor(x), Tensor(h0), Tensor(c0),
-                            Tensor(w_ih), Tensor(w_hh), Tensor(bias))
-        gates = x @ w_ih.T + h0 @ w_hh.T + bias
-        sig = lambda z: 1 / (1 + np.exp(-z))
-        i, f, g, o = (sig(gates[:, :H]), sig(gates[:, H:2 * H]),
-                      np.tanh(gates[:, 2 * H:3 * H]), sig(gates[:, 3 * H:]))
-        c_ref = f * c0 + i * g
-        assert np.allclose(c.data, c_ref)
-        assert np.allclose(h.data, o * np.tanh(c_ref))
-
-    def test_lstm_cell_grad(self):
-        rng = np.random.default_rng(9)
-        w_ih = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-        w_hh = Tensor(rng.normal(size=(8, 2)), requires_grad=True)
-        bias = Tensor(rng.normal(size=8), requires_grad=True)
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-
-        def f(xx, wi, wh, bb):
-            h, c = tc.lstm_cell(xx, Tensor(np.zeros((2, 2))),
-                                Tensor(np.zeros((2, 2))), wi, wh, bb)
-            return (h * c).sum()
-
-        assert grad_check(f, [x, w_ih, w_hh, bias])["passed"]
-
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_sequence_matches_cell_loop(self, steps, reverse):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.normal(size=(2, steps, 3)))
-        w_ih, w_hh, bias = (Tensor(rng.normal(size=s)) for s in [(8, 3), (8, 2), 8])
-        h = c = Tensor(np.zeros((2, 2)))
+        x = rng.normal(size=(2, steps, 3))
+        w_ih, w_hh, bias = (rng.normal(size=s) for s in [(8, 3), (8, 2), 8])
+        h = c = np.zeros((2, 2))
         ref = np.zeros((2, steps, 2))
         for t in (reversed(range(steps)) if reverse else range(steps)):
-            h, c = tc.lstm_cell(x[:, t, :], h, c, w_ih, w_hh, bias)
-            ref[:, t] = h.data
-        out = tc.lstm_sequence(x, w_ih, w_hh, bias, reverse=reverse)
+            h, c = lstm_cell_reference(x[:, t, :], h, c, w_ih, w_hh, bias)
+            ref[:, t] = h
+        out = tc.lstm_sequence(Tensor(x), Tensor(w_ih), Tensor(w_hh), Tensor(bias),
+                               reverse=reverse)
         assert np.allclose(out.data, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("steps", [1, 4])
