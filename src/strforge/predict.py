@@ -284,7 +284,7 @@ class AttnDecoder:
         """Teacher-forced logits (B, T, 37) for (B, T) `targets`, as one graph node; step t
         reads targets[:, t - 1] as its previous symbol, GO at t = 0. The backward runs BPTT
         through the LSTM core, the context and the score path, then forms each weight
-        gradient with one GEMM over all T*B rows, as ``lstm_sequence`` does."""
+        gradient with one GEMM over all T*B rows, as ``bilstm`` does."""
         enc = hseq.data
         batch, _, width = enc.shape
         steps, hid, rows = targets.shape[1], self.hidden_size, targets.size

@@ -2,10 +2,11 @@
 
 Features arrive as a (B, I, D) tensor — I per-image steps of width D. Each
 BiLSTM layer runs one LSTM left-to-right and an independent LSTM over the
-reversed sequence, each direction one ``lstm_sequence`` graph node. It
-concatenates the two hidden states per step (2H wide) and projects through an
-FC layer back to the hidden width, after every layer including the last, so
-downstream predictors consume width-H vectors. The "None" sequence option is
+reversed sequence as one ``bilstm`` graph node, whose single time loop
+advances both directions. The node returns the two hidden states per step
+side by side (2H wide); the layer projects them through an FC layer back to
+the hidden width, after every layer including the last, so downstream
+predictors consume width-H vectors. The "None" sequence option is
 no module at all: the model passes V through.
 
 Parameters are created in the model's ParamStore: weights for its He draw,
@@ -14,7 +15,7 @@ biases zero except each LSTM direction's forget-gate slice, which starts at 1.
 
 from __future__ import annotations
 
-from .tensor import ShapeError, Tensor, concat, lstm_sequence, matmul
+from .tensor import ShapeError, Tensor, bilstm, matmul
 
 
 class _LstmDirection:
@@ -40,9 +41,8 @@ class BiLSTMLayer:
     def forward(self, v: Tensor) -> Tensor:
         """(B, I, D) -> (B, I, out): both directions, then one FC matmul over B*I rows."""
         batch, nsteps, _ = v.shape
-        hf = lstm_sequence(v, self.fwd.w_ih, self.fwd.w_hh, self.fwd.bias)
-        hb = lstm_sequence(v, self.bwd.w_ih, self.bwd.w_hh, self.bwd.bias, reverse=True)
-        states = concat([hf, hb], axis=2).reshape(batch * nsteps, -1)  # forward half first
+        fwd, bwd = ((d.w_ih, d.w_hh, d.bias) for d in (self.fwd, self.bwd))
+        states = bilstm(v, fwd, bwd).reshape(batch * nsteps, -1)  # forward half first
         out = matmul(states, self.fc_w.T) + self.fc_b
         return out.reshape(batch, nsteps, -1)
 

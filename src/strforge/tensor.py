@@ -359,21 +359,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x - logsumexp(x, axis=axis)
 
 
-# -- structural ops ------------------------------------------------------------
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
 # -- convolution / pooling -------------------------------------------------------
 
 
@@ -653,77 +638,85 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 # -- LSTM ------------------------------------------------------------------------
 
 
-def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                  reverse: bool = False) -> Tensor:
-    """A standard four-gate LSTM over a whole (B, T, in) sequence, as one node.
+def bilstm(x: Tensor, fwd, bwd) -> Tensor:
+    """A bidirectional four-gate LSTM over a whole (B, T, in) sequence, as one node.
 
-    Gate order in the stacked weight matrices is (input, forget, cell, output);
-    `w_ih` is (4H, in), `w_hh` is (4H, H), `bias` is (4H,). Starts from zero
-    state and returns the (B, T, H) hidden states; with `reverse` the
-    recurrence runs from the last step to the first, and output step t still
-    belongs to input step t. The input projection of all steps is
-    one GEMM before the time loop. The backward runs BPTT into a buffer of
-    gate pre-activation gradients, then forms the input and weight gradients
-    with one GEMM each over all B*T rows.
+    `fwd` and `bwd` are each direction's (w_ih, w_hh, bias), gate order (input,
+    forget, cell, output): (4H, in), (4H, H) and (4H,). From zero state, it returns
+    the (B, T, 2H) hidden states, forward half first; the reverse direction runs
+    from the last step to the first, and its output step t belongs to input step t.
+    After one input-projection GEMM per direction, one time loop advances both:
+    its step t is time t forward and time T-1-t in reverse, with one batched
+    matmul for both recurrent products and one gate evaluation on gate-major
+    (4, 2, B, H) activations, so every array a step touches is contiguous. The
+    backward runs one BPTT loop the same way, then forms each direction's input
+    and weight gradients with one GEMM over all T*B rows.
     """
-    if x.ndim != 3 or x.shape[2] != w_ih.shape[1]:
-        raise ShapeError(f"lstm_sequence expects (B, T, {w_ih.shape[1]}) input, got {x.shape}")
+    hid = fwd[1].shape[1]
+    rows = np.arange(4 * hid).reshape(4, hid)[[0, 1, 3, 2]].ravel()  # (i, f, g, o) <-> (i, f, o, g)
+    w_ih, w_hh, bias = (np.array([f.data, b.data]).take(rows, axis=1) for f, b in zip(fwd, bwd))
+    if x.ndim != 3 or x.shape[2] != w_ih.shape[2]:
+        raise ShapeError(f"bilstm expects (B, T, {w_ih.shape[2]}) input, got {x.shape}")
     batch, steps, _ = x.shape
-    hid = w_hh.shape[1]
-    xs = x.data.transpose(1, 0, 2)  # time-major, in the order the recurrence runs
-    if reverse:
-        xs = xs[::-1]
-    x2 = np.ascontiguousarray(xs).reshape(steps * batch, -1)
+    xs = x.data.transpose(1, 0, 2)  # time-major
+    x2 = np.stack([xs, xs[::-1]]).reshape(2, steps * batch, -1)  # in each recurrence's order
     # Pre-activations of every step, overwritten in place by the gate activations.
-    acts = (x2 @ w_ih.data.T + bias.data).reshape(steps, batch, 4 * hid)
-    dtype = acts.dtype
-    hs = np.zeros((steps + 1, batch, hid), dtype=dtype)  # hs[t + 1] is h_t; hs[0] = 0
-    cs = np.zeros((steps + 1, batch, hid), dtype=dtype)  # likewise c_t
-    tcs = np.empty((steps, batch, hid), dtype=dtype)     # tanh(c_t)
-    for t in range(steps):
-        a = acts[t]
-        a += hs[t] @ w_hh.data.T
-        g = np.tanh(a[:, 2 * hid:3 * hid])
-        a[...] = _sigmoid(a)  # i, f and o
-        a[:, 2 * hid:3 * hid] = g
-        np.multiply(a[:, hid:2 * hid], cs[t], out=cs[t + 1])
-        cs[t + 1] += a[:, :hid] * a[:, 2 * hid:3 * hid]
-        np.tanh(cs[t + 1], out=tcs[t])
-        np.multiply(a[:, 3 * hid:], tcs[t], out=hs[t + 1])
-    out = hs[1:][::-1] if reverse else hs[1:]
-    out_data = np.ascontiguousarray(out.transpose(1, 0, 2))
+    pre = x2 @ w_ih.transpose(0, 2, 1)
+    pre += bias[:, None]
+    acts = np.ascontiguousarray(pre.reshape(2, steps, batch, 4, hid).transpose(1, 3, 0, 2, 4))
+    w_gates = w_hh.reshape(2, 4, hid, hid).transpose(1, 0, 2, 3)  # [gate, direction]
+    w_rec = w_gates.transpose(0, 1, 3, 2)  # h (2, B, H) @ w_rec is (4, 2, B, H)
+    hs, cs = np.zeros((2, steps + 1, 2, batch, hid), dtype=acts.dtype)  # [t + 1]: h_t, c_t
+    tcs = np.empty_like(hs[1:])  # tanh(c_t)
+    one = np.ones((), dtype=acts.dtype)  # an array operand: a Python float costs a conversion per call
+    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the exact sigmoid limit 0
+        for a, s, h, h1, c, c1, tc in zip(acts, acts[:, :3], hs, hs[1:], cs, cs[1:], tcs):
+            a += h @ w_rec
+            np.negative(s, s)  # i, f and o: 1 / (1 + exp(-z))
+            np.exp(s, s)
+            s += one
+            np.reciprocal(s, s)
+            i, f, o, g = a
+            np.tanh(g, g)
+            np.multiply(f, c, c1)
+            c1 += i * g
+            np.tanh(c1, tc)
+            np.multiply(o, tc, h1)
+    out_data = np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=2).transpose(1, 0, 2)
 
-    def backward(g):
-        gt = g.transpose(1, 0, 2)
-        if reverse:
-            gt = gt[::-1]
-        deriv = acts * (1 - acts)  # sigmoid' for i, f, o
-        deriv[:, :, 2 * hid:3 * hid] = 1 - acts[:, :, 2 * hid:3 * hid] ** 2  # tanh' for g
+    def backward(gout):
+        gt = np.stack([gout[..., :hid], gout[:, ::-1, hid:]]).transpose(2, 0, 1, 3)
+        gt = np.ascontiguousarray(gt)  # laid out as hs[1:]
+        dgates = 1 - acts  # each step turns its activation derivatives into gradients
+        dgates *= acts  # sigmoid' for i, f, o
+        dgates[:, 3] = 1 - acts[:, 3] ** 2  # tanh' for g
         dtanh_c = 1 - tcs * tcs
-        dgates = np.empty_like(acts)
-        dh = np.zeros((batch, hid), dtype=dtype)
-        dc = np.zeros((batch, hid), dtype=dtype)
-        for t in range(steps - 1, -1, -1):
-            a, d = acts[t], dgates[t]
-            dh += gt[t]
-            np.multiply(dh, tcs[t], out=d[:, 3 * hid:])  # o
-            dh *= a[:, 3 * hid:]
-            dh *= dtanh_c[t]
+        dh, dc = np.zeros_like(hs[:2])
+        dact = np.empty_like(acts[0])  # one step's gradients with respect to the activations
+        di, df, do, dg = dact
+        for a, d, gh, tc, dtc, c in zip(acts[::-1], dgates[::-1], gt[::-1], tcs[::-1],
+                                        dtanh_c[::-1], cs[-2::-1]):
+            i, f, o, g = a
+            dh += gh
+            np.multiply(dh, tc, do)
+            dh *= o
+            dh *= dtc
             dc += dh
-            np.multiply(dc, a[:, 2 * hid:3 * hid], out=d[:, :hid])  # i
-            np.multiply(dc, cs[t], out=d[:, hid:2 * hid])  # f
-            np.multiply(dc, a[:, :hid], out=d[:, 2 * hid:3 * hid])  # g
-            d *= deriv[t]
-            dc *= a[:, hid:2 * hid]
-            dh = d @ w_hh.data
-        d2 = dgates.reshape(steps * batch, 4 * hid)
-        gx = (d2 @ w_ih.data).reshape(steps, batch, -1)
-        if reverse:
-            gx = gx[::-1]
-        return (gx.transpose(1, 0, 2), d2.T @ x2,
-                d2.T @ hs[:-1].reshape(steps * batch, hid), d2.sum(axis=0))
+            np.multiply(dc, g, di)
+            np.multiply(dc, c, df)
+            np.multiply(dc, i, dg)
+            d *= dact
+            dc *= f
+            dh = (d @ w_gates).sum(axis=0)
+        d2 = dgates.transpose(2, 0, 3, 1, 4).reshape(2, steps * batch, 4 * hid)
+        gx = (d2 @ w_ih).reshape(2, steps, batch, -1)
+        gx = (gx[0] + gx[1, ::-1]).transpose(1, 0, 2)
+        d2t = d2.transpose(0, 2, 1)
+        h_prev = hs[:-1].transpose(1, 0, 2, 3).reshape(2, steps * batch, hid)
+        gw_ih, gw_hh, gb = (g.take(rows, axis=1) for g in (d2t @ x2, d2t @ h_prev, d2.sum(axis=1)))
+        return gx, gw_ih[0], gw_hh[0], gb[0], gw_ih[1], gw_hh[1], gb[1]
 
-    return Tensor._make(out_data, (x, w_ih, w_hh, bias), backward)
+    return Tensor._make(out_data, (x, *fwd, *bwd), backward)
 
 
 # -- bilinear sampling -------------------------------------------------------------

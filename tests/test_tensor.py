@@ -415,34 +415,62 @@ class TestNNOps:
         out = tc.batchnorm(x, g, b, state, mode="eval")
         assert abs(float(out.data.mean())) < 0.2
 
+    @staticmethod
+    def bilstm_arrays(seed, steps):
+        """x (2, steps, 3) and each direction's (w_ih, w_hh, bias) for H = 2."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, steps, 3))
+        fwd, bwd = (tuple(rng.normal(size=s) for s in [(8, 3), (8, 2), 8]) for _ in range(2))
+        return x, fwd, bwd
+
+    # Each direction of the bilstm node is an LSTM over the whole sequence;
+    # `reverse` picks the direction a case checks: the forward half (fwd
+    # weights, t = 0..T-1) or the reverse half (bwd weights, t = T-1..0).
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_sequence_matches_cell_loop(self, steps, reverse):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(2, steps, 3))
-        w_ih, w_hh, bias = (rng.normal(size=s) for s in [(8, 3), (8, 2), 8])
+        x, fwd, bwd = self.bilstm_arrays(11, steps)
         h = c = np.zeros((2, 2))
         ref = np.zeros((2, steps, 2))
         for t in (reversed(range(steps)) if reverse else range(steps)):
-            h, c = lstm_cell_reference(x[:, t, :], h, c, w_ih, w_hh, bias)
+            h, c = lstm_cell_reference(x[:, t, :], h, c, *(bwd if reverse else fwd))
             ref[:, t] = h
-        out = tc.lstm_sequence(Tensor(x), Tensor(w_ih), Tensor(w_hh), Tensor(bias),
-                               reverse=reverse)
-        assert np.allclose(out.data, ref, rtol=0, atol=1e-12)
+        out = tc.bilstm(Tensor(x), [Tensor(w) for w in fwd], [Tensor(w) for w in bwd])
+        assert out.shape == (2, steps, 4)
+        half = out.data[..., 2:] if reverse else out.data[..., :2]
+        assert np.allclose(half, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_sequence_grad(self, steps, reverse):
-        rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(2, steps, 3)), requires_grad=True)
-        w_ih, w_hh, bias = (Tensor(rng.normal(size=s), requires_grad=True)
-                            for s in [(8, 3), (8, 2), 8])
-        weights = Tensor(rng.normal(size=(2, steps, 2)))
+        # the loss reads the whole output, weighting the checked direction's
+        # half more heavily, so each case exercises both directions' BPTT
+        x, fwd, bwd = self.bilstm_arrays(12, steps)
+        leaves = [Tensor(a, requires_grad=True) for a in (x, *fwd, *bwd)]
+        w = np.random.default_rng(13).normal(size=(2, steps, 4))
+        w[..., 2:] *= 1.0 if reverse else 0.25
+        w[..., :2] *= 0.25 if reverse else 1.0
+        weights = Tensor(w)
 
-        def f(xx, wi, wh, bb):
-            return (tc.lstm_sequence(xx, wi, wh, bb, reverse=reverse) * weights).sum()
+        def f(xx, *ws):
+            return (tc.bilstm(xx, ws[:3], ws[3:]) * weights).sum()
 
-        assert grad_check(f, [x, w_ih, w_hh, bias])["passed"]
+        assert grad_check(f, leaves)["passed"]
+
+    def test_bilstm_direction_swap(self):
+        # swapping the directions' weights and reversing x in time swaps the
+        # output halves and reverses them in time
+        x, fwd, bwd = self.bilstm_arrays(14, 5)
+        out = tc.bilstm(Tensor(x), [Tensor(w) for w in fwd], [Tensor(w) for w in bwd]).data
+        rev = tc.bilstm(Tensor(x[:, ::-1].copy()), [Tensor(w) for w in bwd],
+                        [Tensor(w) for w in fwd]).data[:, ::-1]
+        assert np.allclose(out[..., :2], rev[..., 2:], rtol=0, atol=1e-12)
+        assert np.allclose(out[..., 2:], rev[..., :2], rtol=0, atol=1e-12)
+
+    def test_bilstm_rejects_a_wrong_input_width(self):
+        x, fwd, bwd = self.bilstm_arrays(15, 3)
+        with pytest.raises(tc.ShapeError, match="bilstm expects"):
+            tc.bilstm(Tensor(x[..., :2]), [Tensor(w) for w in fwd], [Tensor(w) for w in bwd])
 
     def test_bilinear_sample_identity_and_grad(self):
         rng = np.random.default_rng(10)
