@@ -9,7 +9,9 @@ backpropagates into the frame log-probabilities. A brute-force
 path-enumeration oracle validates the recursion on small instances. The
 attention math is one NumPy step, ``AttnDecoder.step``: greedy decoding calls
 it on arrays, and the teacher-forced loss runs it inside one graph node,
-``AttnDecoder.forward``. Decoding is greedy for both heads; no beam search.
+``AttnDecoder.forward``. Its LSTM core is ``tensor.lstm_cell`` on a gate-major
+view in the weights' gate order, and its BPTT ``lstm_cell_backward``: the cell the
+Seq stage's ``bilstm`` runs. Decoding is greedy for both heads; no beam search.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _sigmoid, log_softmax
+from .tensor import ShapeError, Tensor, log_softmax, lstm_cell, lstm_cell_backward
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 SPECIAL_INDEX = 36  # blank (CTC) / EOS (attention)
@@ -263,8 +265,9 @@ class AttnDecoder:
     def step(self, y_prev, h, c, hseq, keys):
         """One decode step on arrays: previous symbols `y_prev` (B,), GO being the special
         class; state `h`, `c` (B, H); encoder states `hseq` (B, I, D) and their `keys`.
-        Returns logits (B, 37), h, c and, for the backward of `forward`, the tanh scores,
-        alpha, the context, the (input, forget, cell, output) gate activations and tanh(c)."""
+        Returns logits (B, 37), h, c and, for the backward of `forward`, the tanh scores, alpha,
+        the context, the (B, 4H) gate activations and tanh(c). Callers wrap their step loop in
+        ``np.errstate(over="ignore")``, as ``lstm_cell`` asks."""
         hid = self.hidden_size
         act = np.tanh(keys + (h @ self.w_score.data.T)[:, None])
         scores = act @ self.vec_score.data
@@ -273,12 +276,9 @@ class AttnDecoder:
         context = (alpha[:, None] @ hseq)[:, 0]
         pre = self.w_ih.data[:, y_prev].T + context @ self.w_ih.data[:, NUM_CLASSES:].T
         pre += h @ self.w_hh.data.T + self.b_lstm.data
-        gates = _sigmoid(pre)  # i, f and o
-        gates[:, 2 * hid:3 * hid] = np.tanh(pre[:, 2 * hid:3 * hid])
-        c = gates[:, hid:2 * hid] * c + gates[:, :hid] * gates[:, 2 * hid:3 * hid]
-        tanh_c = np.tanh(c)
-        h = gates[:, 3 * hid:] * tanh_c
-        return h @ self.w_out.data.T + self.b_out.data, h, c, (act, alpha, context, gates, tanh_c)
+        c1, tanh_c, h = np.empty((3, *c.shape), dtype=c.dtype)
+        lstm_cell(pre.reshape(-1, 4, hid).transpose(1, 0, 2), c, c1, h, tanh_c)
+        return h @ self.w_out.data.T + self.b_out.data, h, c1, (act, alpha, context, pre, tanh_c)
 
     def forward(self, hseq: Tensor, targets) -> Tensor:
         """Teacher-forced logits (B, T, 37) for (B, T) `targets`, as one graph node; step t
@@ -292,9 +292,10 @@ class AttnDecoder:
         keys = self.keys(enc)
         hs, cs = np.zeros((2, steps + 1, batch, hid), dtype=keys.dtype)  # [t + 1]: after step t
         logits, saved = np.empty((steps, batch, NUM_CLASSES), dtype=keys.dtype), []
-        for t in range(steps):
-            logits[t], hs[t + 1], cs[t + 1], s = self.step(prev[t], hs[t], cs[t], enc, keys)
-            saved.append(s)
+        with np.errstate(over="ignore"):
+            for t in range(steps):
+                logits[t], hs[t + 1], cs[t + 1], s = self.step(prev[t], hs[t], cs[t], enc, keys)
+                saved.append(s)
         acts, alphas, contexts, gates, tanh_cs = (np.stack(a) for a in zip(*saved))
 
         def backward(g):
@@ -304,15 +305,10 @@ class AttnDecoder:
             dgates, dctx, dscores = np.empty_like(gates), np.empty_like(contexts), np.empty_like(alphas)
             dwh, dkeys = np.empty_like(hs[1:]), np.zeros_like(keys)
             dh, dc = np.zeros_like(hs[:2])
+            a4, d4 = (a.reshape(steps, batch, 4, hid).transpose(0, 2, 1, 3) for a in (gates, dgates))
             for t in range(steps - 1, -1, -1):
-                i, f, gc, o = (gates[t, :, k * hid:(k + 1) * hid] for k in range(4))
                 dh += dh_out[t]
-                dgates[t, :, 3 * hid:] = dh * tanh_cs[t] * o * (1 - o)
-                dc += dh * o * (1 - tanh_cs[t] ** 2)
-                dgates[t, :, :hid] = dc * gc * i * (1 - i)
-                dgates[t, :, hid:2 * hid] = dc * cs[t] * f * (1 - f)
-                dgates[t, :, 2 * hid:3 * hid] = dc * i * (1 - gc * gc)
-                dc *= f
+                lstm_cell_backward(a4[t], cs[t], tanh_cs[t], dh, dc, d4[t])
                 dctx[t], dh = np.split(dgates[t] @ w_rec, [width], axis=1)
                 # context = alpha H, alpha = softmax(act v), act = tanh(keys + W h_prev)
                 dalpha = (enc @ dctx[t][:, :, None])[:, :, 0]
@@ -365,12 +361,13 @@ def attn_greedy_decode_batch(hseq: Tensor, decoder: AttnDecoder, max_len: int = 
     y = np.full(batch, SPECIAL_INDEX)
     done = np.zeros(batch, dtype=bool)
     picks = []
-    for _ in range(max_len):
-        logits, h, c, _ = decoder.step(y, h, c, enc, keys)
-        y = np.argmax(logits, axis=1)
-        picks.append(y)
-        done |= y == SPECIAL_INDEX
-        if done.all():
-            break
+    with np.errstate(over="ignore"):
+        for _ in range(max_len):
+            logits, h, c, _ = decoder.step(y, h, c, enc, keys)
+            y = np.argmax(logits, axis=1)
+            picks.append(y)
+            done |= y == SPECIAL_INDEX
+            if done.all():
+                break
     rows = np.array(picks, dtype=np.int64).reshape(-1, batch).T
     return [CODEC.decode(itertools.takewhile(lambda i: i != SPECIAL_INDEX, row)) for row in rows]

@@ -2,12 +2,12 @@
 
 Features arrive as a (B, I, D) tensor — I per-image steps of width D. Each
 BiLSTM layer runs one LSTM left-to-right and an independent LSTM over the
-reversed sequence as one ``bilstm`` graph node, whose single time loop
-advances both directions. The node returns the two hidden states per step
-side by side (2H wide); the layer projects them through an FC layer back to
-the hidden width, after every layer including the last, so downstream
-predictors consume width-H vectors. The "None" sequence option is
-no module at all: the model passes V through.
+reversed sequence as one ``bilstm`` graph node, whose single time loop advances
+both directions through ``tensor.lstm_cell`` (the attention decoder's core runs
+the same cell) on gate-major activations in the weights' own gate order, with no
+row permutation. It returns the two hidden states per step side by side (2H);
+an FC layer after every layer, the last included, projects them back to the
+hidden width for the predictor. The "None" option is no module at all.
 
 Parameters are created in the model's ParamStore: weights for its He draw,
 biases zero except each LSTM direction's forget-gate slice, which starts at 1.

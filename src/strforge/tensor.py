@@ -323,13 +323,9 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def _sigmoid(z):
-    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the exact limit 0
-        return 1.0 / (1.0 + np.exp(-z))
-
-
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid(x.data)
+    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the exact limit 0
+        out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(g):
         return (g * out_data * (1.0 - out_data),)
@@ -638,6 +634,53 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 # -- LSTM ------------------------------------------------------------------------
 
 
+_ONES = {np.dtype(t): np.ones((), t) for t in (np.float32, np.float64)}  # faster operands than 1.0
+
+
+def lstm_cell(a, c, c1, h1, tc):
+    """One LSTM step in place. `a` holds gate-major pre-activations (4, ..., H) in the
+    parameters' gate order (input, forget, cell, output), recurrent term included; the
+    gate activations overwrite it. From cell state `c`, writes c_t to `c1`, tanh(c_t)
+    to `tc` and h_t to `h1`. The caller enters ``np.errstate(over="ignore")`` once
+    around its time loop: exp(-z) -> inf gives the exact sigmoid limit 0."""
+    i, f, g, o = a
+    one = _ONES.get(a.dtype, 1)
+    np.tanh(g, tc)  # taken first, so that one sigmoid runs over all four gates
+    np.negative(a, a)
+    np.exp(a, a)
+    a += one
+    np.reciprocal(a, a)
+    np.copyto(g, tc)
+    np.multiply(f, c, c1)
+    np.multiply(i, g, tc)
+    c1 += tc
+    np.tanh(c1, tc)
+    np.multiply(o, tc, h1)
+
+
+def lstm_cell_backward(a, c, tc, dh, dc, d):
+    """BPTT through one ``lstm_cell`` step in place: from its activations `a`, cell state
+    `c`, tanh(c_t) `tc` and the gradients `dh`, `dc` with respect to h_t and c_t, writes
+    the pre-activation gradients to `d` (4, ..., H) and turns `dc` into the gradient with
+    respect to c_{t-1}; `dh` is overwritten. The recurrent product stays with the caller."""
+    i, f, g, o = a
+    di, df, dg, do = d
+    one = _ONES.get(a.dtype, 1)
+    np.multiply(dh, tc, do)
+    dh *= o
+    dh *= one - tc * tc
+    dc += dh
+    np.multiply(dc, g, di)
+    np.multiply(dc, c, df)
+    np.multiply(dc, i, dg)
+    dc *= f
+    slope = one - a  # sigmoid' = s (1 - s) for i, f and o
+    slope *= a
+    np.square(g, slope[2])  # tanh' = 1 - g^2 for g
+    np.subtract(one, slope[2], slope[2])
+    d *= slope
+
+
 def bilstm(x: Tensor, fwd, bwd) -> Tensor:
     """A bidirectional four-gate LSTM over a whole (B, T, in) sequence, as one node.
 
@@ -647,14 +690,13 @@ def bilstm(x: Tensor, fwd, bwd) -> Tensor:
     from the last step to the first, and its output step t belongs to input step t.
     After one input-projection GEMM per direction, one time loop advances both:
     its step t is time t forward and time T-1-t in reverse, with one batched
-    matmul for both recurrent products and one gate evaluation on gate-major
+    matmul for both recurrent products and one ``lstm_cell`` on gate-major
     (4, 2, B, H) activations, so every array a step touches is contiguous. The
-    backward runs one BPTT loop the same way, then forms each direction's input
-    and weight gradients with one GEMM over all T*B rows.
+    backward runs one BPTT loop of ``lstm_cell_backward`` the same way, then forms
+    each direction's input and weight gradients with one GEMM over all T*B rows.
     """
     hid = fwd[1].shape[1]
-    rows = np.arange(4 * hid).reshape(4, hid)[[0, 1, 3, 2]].ravel()  # (i, f, g, o) <-> (i, f, o, g)
-    w_ih, w_hh, bias = (np.array([f.data, b.data]).take(rows, axis=1) for f, b in zip(fwd, bwd))
+    w_ih, w_hh, bias = (np.array([f.data, b.data]) for f, b in zip(fwd, bwd))
     if x.ndim != 3 or x.shape[2] != w_ih.shape[2]:
         raise ShapeError(f"bilstm expects (B, T, {w_ih.shape[2]}) input, got {x.shape}")
     batch, steps, _ = x.shape
@@ -668,52 +710,29 @@ def bilstm(x: Tensor, fwd, bwd) -> Tensor:
     w_rec = w_gates.transpose(0, 1, 3, 2)  # h (2, B, H) @ w_rec is (4, 2, B, H)
     hs, cs = np.zeros((2, steps + 1, 2, batch, hid), dtype=acts.dtype)  # [t + 1]: h_t, c_t
     tcs = np.empty_like(hs[1:])  # tanh(c_t)
-    one = np.ones((), dtype=acts.dtype)  # an array operand: a Python float costs a conversion per call
-    with np.errstate(over="ignore"):  # exp(-z) -> inf gives the exact sigmoid limit 0
-        for a, s, h, h1, c, c1, tc in zip(acts, acts[:, :3], hs, hs[1:], cs, cs[1:], tcs):
+    with np.errstate(over="ignore"):
+        for a, h, h1, c, c1, tc in zip(acts, hs, hs[1:], cs, cs[1:], tcs):
             a += h @ w_rec
-            np.negative(s, s)  # i, f and o: 1 / (1 + exp(-z))
-            np.exp(s, s)
-            s += one
-            np.reciprocal(s, s)
-            i, f, o, g = a
-            np.tanh(g, g)
-            np.multiply(f, c, c1)
-            c1 += i * g
-            np.tanh(c1, tc)
-            np.multiply(o, tc, h1)
+            lstm_cell(a, c, c1, h1, tc)
     out_data = np.concatenate([hs[1:, 0], hs[:0:-1, 1]], axis=2).transpose(1, 0, 2)
 
     def backward(gout):
         gt = np.stack([gout[..., :hid], gout[:, ::-1, hid:]]).transpose(2, 0, 1, 3)
         gt = np.ascontiguousarray(gt)  # laid out as hs[1:]
-        dgates = 1 - acts  # each step turns its activation derivatives into gradients
-        dgates *= acts  # sigmoid' for i, f, o
-        dgates[:, 3] = 1 - acts[:, 3] ** 2  # tanh' for g
-        dtanh_c = 1 - tcs * tcs
+        dgates = np.empty_like(acts)
         dh, dc = np.zeros_like(hs[:2])
-        dact = np.empty_like(acts[0])  # one step's gradients with respect to the activations
-        di, df, do, dg = dact
-        for a, d, gh, tc, dtc, c in zip(acts[::-1], dgates[::-1], gt[::-1], tcs[::-1],
-                                        dtanh_c[::-1], cs[-2::-1]):
-            i, f, o, g = a
-            dh += gh
-            np.multiply(dh, tc, do)
-            dh *= o
-            dh *= dtc
-            dc += dh
-            np.multiply(dc, g, di)
-            np.multiply(dc, c, df)
-            np.multiply(dc, i, dg)
-            d *= dact
-            dc *= f
-            dh = (d @ w_gates).sum(axis=0)
-        d2 = dgates.transpose(2, 0, 3, 1, 4).reshape(2, steps * batch, 4 * hid)
+        for t in range(steps - 1, -1, -1):
+            dh += gt[t]
+            lstm_cell_backward(acts[t], cs[t], tcs[t], dh, dc, dgates[t])
+            dh = (dgates[t] @ w_gates).sum(axis=0)
+        d2 = acts.reshape(2, steps * batch, 4 * hid)  # the dead activations' buffer, in GEMM layout
+        np.copyto(d2.reshape(2, steps, batch, 4, hid), dgates.transpose(2, 0, 3, 1, 4))
+        del dgates  # before the GEMMs allocate their outputs
         gx = (d2 @ w_ih).reshape(2, steps, batch, -1)
         gx = (gx[0] + gx[1, ::-1]).transpose(1, 0, 2)
         d2t = d2.transpose(0, 2, 1)
         h_prev = hs[:-1].transpose(1, 0, 2, 3).reshape(2, steps * batch, hid)
-        gw_ih, gw_hh, gb = (g.take(rows, axis=1) for g in (d2t @ x2, d2t @ h_prev, d2.sum(axis=1)))
+        gw_ih, gw_hh, gb = d2t @ x2, d2t @ h_prev, d2.sum(axis=1)
         return gx, gw_ih[0], gw_hh[0], gb[0], gw_ih[1], gw_hh[1], gb[1]
 
     return Tensor._make(out_data, (x, *fwd, *bwd), backward)

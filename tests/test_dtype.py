@@ -1,5 +1,7 @@
 """The dtype policy: a model computes in its own dtype, forward and backward."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,28 @@ def test_loss_and_backward_stay_in_model_dtype(name, dtype):
     assert len(emitted) > 100
     assert {str(g.dtype) for g in emitted} == {np.dtype(dtype).name}
     assert all(p.grad.dtype == dtype for p in model.params().values())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [1e4, -1e4])
+def test_saturated_lstm_gates_stay_finite_and_silent(dtype, bias):
+    # a gate driven to 0 overflows exp(-z) to inf, which gives the exact sigmoid
+    # limit; each LSTM time loop (the Seq node's, the teacher-forced one and
+    # greedy decoding) ignores that overflow once around its steps
+    model = assemble(PipelineConfig.from_string("None-VGG-BiLSTM-Attn", scale=0.125), dtype=dtype)
+    for name, p in model.params().items():
+        if name.endswith((".fwd.bias", ".bwd.bias", "attn.b_lstm")):
+            p.data[...] = bias
+    data = synth_toydata(4, max_len=3, seed=0)
+    images = Tensor(np.asarray(data.images, dtype=dtype))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = model.loss(images, data.labels)
+        loss.backward()
+        decoded = model.decode(images)
+        eval_loss = model.loss(images, data.labels, mode="eval")
+    assert np.isfinite(loss.item()) and np.isfinite(eval_loss.item()) and len(decoded) == 4
+    assert all(np.isfinite(p.grad).all() for p in model.params().values())
 
 
 def test_train_and_validate_feed_the_model_dtype():

@@ -20,6 +20,7 @@ from strforge.predict import (
     encode_for,
 )
 from strforge.tensor import ParamStore, Tensor, grad_check, log_softmax
+from test_tensor import lstm_cell_reference
 
 
 def log_uniform(t, c):
@@ -252,13 +253,8 @@ class TestAttention:
         ctx = (a[:, None] * hseq).sum(axis=0)
         onehot = np.zeros(37)
         onehot[7] = 1.0
-        gates = (dec.w_ih.data @ np.concatenate([onehot, ctx])
-                 + dec.w_hh.data @ hp[0] + dec.b_lstm.data)
-        sig = lambda z: 1 / (1 + np.exp(-z))
-        i_, f_, g_, o_ = (sig(gates[:5]), sig(gates[5:10]),
-                          np.tanh(gates[10:15]), sig(gates[15:20]))
-        c_ref = f_ * cp[0] + i_ * g_
-        h_ref = o_ * np.tanh(c_ref)
+        (h_ref,), (c_ref,) = lstm_cell_reference(np.concatenate([onehot, ctx])[None], hp, cp,
+                                                 dec.w_ih.data, dec.w_hh.data, dec.b_lstm.data)
         logits_ref = dec.w_out.data @ h_ref + dec.b_out.data
         probs = np.exp(logits_ref - logits_ref.max())
         probs /= probs.sum()

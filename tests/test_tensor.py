@@ -472,6 +472,29 @@ class TestNNOps:
         with pytest.raises(tc.ShapeError, match="bilstm expects"):
             tc.bilstm(Tensor(x[..., :2]), [Tensor(w) for w in fwd], [Tensor(w) for w in bwd])
 
+    def test_bilstm_backward_writes_gate_gradients_into_the_activation_buffer(self):
+        # the activations are dead once BPTT has run, so the gate gradients take the
+        # GEMM layout in their buffer: the backward allocates about one array of all
+        # gates beyond what the graph holds, not a BPTT buffer and a GEMM copy beside it
+        batch, steps, width, hid = 32, 26, 64, 32  # CRNN's first Seq layer at scale 1/8
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(batch, steps, width)).astype(np.float32), requires_grad=True)
+        ws = [Tensor(rng.normal(0, 0.2, s).astype(np.float32), requires_grad=True)
+              for s in [(4 * hid, width), (4 * hid, hid), (4 * hid,)] * 2]
+        g = rng.normal(size=(batch, steps, 2 * hid)).astype(np.float32)
+        all_gates = steps * batch * 8 * hid * 4  # bytes: T*B*8H float32 values
+        tracemalloc.start()
+        try:
+            out = tc.bilstm(x, ws[:3], ws[3:])
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out.backward(g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert backward_peak < 2 * all_gates
+        assert all(np.isfinite(w.grad).all() for w in [x, *ws])
+
     def test_bilinear_sample_identity_and_grad(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(1, 2, 4, 5)), requires_grad=True)
