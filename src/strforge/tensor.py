@@ -19,6 +19,12 @@ closure, so each intermediate is freed as soon as nothing refers to it. The
 block nests and restores the previous state on exit, also on an exception.
 Inference (``Model.decode``, eval-mode ``Model.loss``) runs under it. ``conv2d``
 runs one kernel, a chunked im2col correlation, for forward and input gradient.
+
+A recorded op keeps no copy derived from its input: a backward reads its
+parents' data again (``conv2d`` pads each chunk anew, ``batchnorm`` recomputes
+x - mean, a padded ``maxpool2d`` pads again) and keeps only per-channel
+constants of its own. So nothing may write a recorded tensor's data in place
+before ``backward`` has run.
 """
 
 from __future__ import annotations
@@ -384,8 +390,20 @@ def _chunks(n, patch_bytes):
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
-def _patches(xp, kh, kw, sh, sw):
-    """The (N, C*kh*kw, Ho*Wo) im2col patches of a padded NCHW input; a view for 1x1 stride 1."""
+def _pad(x, ph, pw, fill=0):
+    """NCHW `x` framed by `ph` rows and `pw` columns of `fill`; `x` itself when both are 0."""
+    if not (ph or pw):
+        return x
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
+def _patches(x, kh, kw, sh, sw, ph, pw):
+    """The (N, C*kh*kw, Ho*Wo) im2col patches of an NCHW input framed by `ph`, `pw`
+    zeros; a view of `x` for an unpadded 1x1 stride-1 kernel."""
+    xp = _pad(x, ph, pw)
     n, c, hp, wp = xp.shape
     if kh == kw == sh == sw == 1:
         return xp.reshape(n, c, -1)
@@ -394,24 +412,28 @@ def _patches(xp, kh, kw, sh, sw):
     return win.reshape(n, c * kh * kw, -1)
 
 
-def _correlate(xp, w, sh, sw):
-    """Cross-correlation of a padded NCHW input with OIHW weights, ``W @ patches`` by
-    chunks of images: the products are per image, so every chunk size gives the same bits."""
+def _correlate(x, w, sh, sw, ph=0, pw=0):
+    """Cross-correlation of an NCHW input, framed by `ph`, `pw` zeros, with OIHW
+    weights: ``W @ patches`` by chunks of images, each chunk padded as its patches
+    are built, so no padded copy of the whole batch exists. The products are per
+    image, so every chunk size gives the same bits."""
     c_out, c, kh, kw = w.shape
-    ho, wo = (xp.shape[2] - kh) // sh + 1, (xp.shape[3] - kw) // sw + 1
+    ho, wo = (x.shape[2] + 2 * ph - kh) // sh + 1, (x.shape[3] + 2 * pw - kw) // sw + 1
     wmat = w.reshape(c_out, -1)
-    out = np.empty((len(xp), c_out, ho, wo), dtype=np.result_type(wmat, xp))
-    for s in _chunks(len(xp), c * kh * kw * ho * wo * xp.itemsize):
-        np.matmul(wmat, _patches(xp[s], kh, kw, sh, sw), out=out[s].reshape(-1, c_out, ho * wo))
+    out = np.empty((len(x), c_out, ho, wo), dtype=np.result_type(wmat, x))
+    for s in _chunks(len(x), c * kh * kw * ho * wo * x.itemsize):
+        np.matmul(wmat, _patches(x[s], kh, kw, sh, sw, ph, pw), out=out[s].reshape(-1, c_out, ho * wo))
     return out
 
 
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation over NCHW input with OIHW weights. The forward and
-    the input gradient run one chunked im2col product, ``_correlate``, and the
-    graph keeps only the padded input. The input gradient correlates, at stride
-    1, the flipped, channel-swapped kernel with the output gradient dilated by
-    the stride and framed by kernel-1-padding zeros (cropped where negative)."""
+    the input gradient run one chunked im2col product, ``_correlate``, which pads
+    each chunk of images as it builds its patches; the graph keeps no copy of
+    the input, and the weight gradient pads and lowers ``x.data`` again, chunk
+    by chunk. The input gradient correlates, at stride 1, the flipped,
+    channel-swapped kernel with the output gradient dilated by the stride and
+    framed by kernel-1-padding zeros (cropped where negative)."""
     if x.ndim != 4 or weight.ndim != 4 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"conv2d expects NCHW input, OIHW weight, equal C; got {x.shape}, {weight.shape}")
     (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
@@ -420,17 +442,13 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     n, c_in, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     ho, wo = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
-    xp = x.data
-    if ph or pw:
-        xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        xp[:, :, ph:ph + h, pw:pw + w] = x.data
 
     def backward(g):
         gw = gx = None
         if weight.requires_grad:
             gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)  # sum of g_n @ patches_n^T
-            for s in _chunks(n, c_in * kh * kw * ho * wo * xp.itemsize):
-                for gi, pi in zip(g[s].reshape(-1, c_out, ho * wo), _patches(xp[s], kh, kw, sh, sw)):
+            for s in _chunks(n, c_in * kh * kw * ho * wo * x.data.itemsize):
+                for gi, pi in zip(g[s].reshape(-1, c_out, ho * wo), _patches(x.data[s], kh, kw, sh, sw, ph, pw)):
                     gw += gi @ pi.T
             gw = gw.reshape(weight.shape)
         if x.requires_grad:
@@ -441,7 +459,7 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
             gx = _correlate(gd[:, :, ph:ph + h + kh - 1, pw:pw + w + kw - 1], flipped, 1, 1)
         return gx, gw
 
-    return Tensor._make(_correlate(xp, weight.data, sh, sw), (x, weight), backward)
+    return Tensor._make(_correlate(x.data, weight.data, sh, sw, ph, pw), (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
@@ -450,8 +468,9 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     Output size floors when the last window does not fit (trailing rows or
     columns are dropped, as is conventional for pooling). The forward is a
     running maximum over the kh*kw strided kernel-cell views; the backward
-    gives each output's gradient to the first cell, in row-major order, that
-    equals the maximum. A NaN in a window makes it NaN and drops its gradient.
+    pads ``x.data`` again (the graph keeps no padded copy) and gives each
+    output's gradient to the first cell, in row-major order, that equals the
+    maximum. A NaN in a window makes it NaN and drops its gradient.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride if stride is not None else kernel)
@@ -460,10 +479,7 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     ho = conv_output_size(h, kh, sh, ph, floor=True)
     wo = conv_output_size(w, kw, sw, pw, floor=True)
 
-    if ph or pw:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    else:
-        xp = x.data
+    xp = _pad(x.data, ph, pw, -np.inf)
     cells = [(..., slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
              for i in range(kh) for j in range(kw)]
     out_data = xp[cells[0]].copy()
@@ -471,6 +487,7 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
         np.maximum(xp[cell], out_data, out=out_data)  # a tie keeps out_data, the earlier cell
 
     def backward(g):
+        xp = _pad(x.data, ph, pw, -np.inf)
         gxp = np.zeros_like(xp)
         free = np.ones(out_data.shape, dtype=bool)  # outputs whose gradient is unclaimed
         for cell in cells:
@@ -588,9 +605,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
     Train mode normalizes by the batch statistics and records them in `state`,
     as one graph node with the closed-form backward gx = gamma/sigma * (g -
-    mean(g) - xhat * mean(g * xhat)). Eval mode is inference: a per-channel
-    scale and shift by the running statistics, with no graph node. It raises
-    ``StateError`` while a graph records an input that needs a gradient.
+    mean(g) - xhat * mean(g * xhat)). The node keeps only per-channel
+    constants (mean, 1/sigma, scale); its backward recomputes x - mean from
+    ``x.data``. Eval mode is inference: a per-channel scale and shift by the
+    running statistics, with no graph node. It raises ``StateError`` while a
+    graph records an input that needs a gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4-D (NCHW) input, got {x.shape}")
@@ -599,17 +618,18 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     gam = gamma.data.reshape(cshape)
     if mode == "train":
         mu = x.data.mean(axis=axes, keepdims=True)
-        xc = x.data - mu
-        var = (xc * xc).mean(axis=axes, keepdims=True)
+        out_data = x.data - mu  # x - mean, scaled and shifted into the output in place
+        var = (out_data * out_data).mean(axis=axes, keepdims=True)
         state.update(mu.reshape(-1), var.reshape(-1))
         inv_std = (var + state.eps) ** -0.5
         scale = gam * inv_std
-        out_data = xc * scale
+        out_data *= scale
         out_data += beta.data.reshape(cshape)
         count = x.size // gamma.size
 
         def backward(g):
             # with xhat = xc * inv_std: sum(g * xhat) = inv_std * sum(g * xc)
+            xc = x.data - mu
             gbeta = g.sum(axis=axes, keepdims=True)
             gxc = (g * xc).sum(axis=axes, keepdims=True)
             gx = xc * (-inv_std * inv_std * gxc / count)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -631,6 +632,29 @@ def test_no_grad_changes_no_value_on_all_24():
             twin = free.store.bn_states[name]
             assert state.running_mean.tobytes() == twin.running_mean.tobytes(), name
             assert state.running_var.tobytes() == twin.running_var.tobytes(), name
+
+
+# Bytes a recorded train-mode loss on 8 images holds (scale 1/8, float32):
+# measured 37.5 MB and 8.30 MB, bounded at +10%. Each graph node keeps only
+# its output and per-channel constants; keeping a padded or centred copy of
+# an input (57.7 MB and 9.97 MB) fails the bound.
+GRAPH_BYTES = {"TPS-ResNet-BiLSTM-Attn": 41_300_000, "None-VGG-BiLSTM-CTC": 9_130_000}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_BYTES))
+def test_recorded_loss_graph_stays_under_its_measured_size(name):
+    model = assemble(PipelineConfig.from_string(name, scale=0.125))
+    data = synth_toydata(8, seed=5)
+    x = Tensor(data.images)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = model.loss(x, data.labels)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held <= GRAPH_BYTES[name]
 
 
 @pytest.mark.parametrize("name", ["None-VGG-BiLSTM-CTC", "TPS-ResNet-BiLSTM-Attn"])

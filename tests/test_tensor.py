@@ -246,27 +246,29 @@ class TestNoGrad:
                 assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_conv2d_patch_transient_does_not_grow_with_the_batch(self):
+        # beside its output, a forward holds one chunk's patches and the padded
+        # chunk they are lowered from, each at most _COL_CHUNK_BYTES here
         x = Tensor(rand((64, 8, 32, 32), 1), requires_grad=True)
         w = Tensor(rand((8, 8, 3, 3), 2), requires_grad=True)
         g = rand((64, 8, 32, 32), 3)
-        padded = 64 * 8 * 34 * 34 * x.data.itemsize  # the zero-padded input copy
+        transient = 2 * tc._COL_CHUNK_BYTES
         whole_col = x.data.nbytes * 9  # every image's patches at once: 36 MiB
         tracemalloc.start()
         try:
             with tc.no_grad():
                 out = tc.conv2d(x, w, padding=(1, 1))
-                free_patches = tracemalloc.get_traced_memory()[1] - out.data.nbytes - padded
+                free_transient = tracemalloc.get_traced_memory()[1] - out.data.nbytes
             del out
             tracemalloc.reset_peak()
-            out = tc.conv2d(x, w, padding=(1, 1))  # the graph keeps the padded input only
+            out = tc.conv2d(x, w, padding=(1, 1))
             held, forward_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             out.backward(g)
             backward_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert free_patches <= tc._COL_CHUNK_BYTES < whole_col
-        assert held <= forward_peak <= out.data.nbytes + padded + tc._COL_CHUNK_BYTES
+        assert free_transient <= transient < whole_col
+        assert held <= forward_peak <= out.data.nbytes + transient
         assert backward_peak < whole_col
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
@@ -358,6 +360,26 @@ class TestNNOps:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * out.data.nbytes
+
+    @pytest.mark.parametrize("op", [
+        lambda x, w, g, b: tc.conv2d(x, w, padding=(1, 1)),
+        lambda x, w, g, b: tc.batchnorm(x, g, b, tc.BatchNormState(8, np.float32), mode="train"),
+        lambda x, w, g, b: tc.maxpool2d(x, (2, 2), (2, 1), (0, 1)),
+    ], ids=["conv2d-padded", "batchnorm-train", "maxpool2d-padded"])
+    def test_recorded_op_holds_only_its_output(self, op):
+        # a recorded node keeps per-channel constants and its parents, not a
+        # padded or centred copy of its input: its backward rebuilds that from x.data
+        x, w = (Tensor(rand(s, i).astype(np.float32), requires_grad=True)
+                for i, s in enumerate([(16, 8, 16, 50), (8, 8, 3, 3)]))
+        g, b = (Tensor(np.full(8, v, np.float32), requires_grad=True) for v in (1.0, 0.0))
+        tracemalloc.start()
+        try:
+            out = op(x, w, g, b)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= out.data.nbytes + 16 * 1024  # measured: 2-3 KiB beyond the output
 
     def test_batchnorm_train_grad(self):
         x = Tensor(rand((4, 3, 2, 2), 5), requires_grad=True)
