@@ -297,11 +297,13 @@ class AttnDecoder:
                 logits[t], hs[t + 1], cs[t + 1], s = self.step(prev[t], hs[t], cs[t], enc, keys)
                 saved.append(s)
         acts, alphas, contexts, gates, tanh_cs = (np.stack(a) for a in zip(*saved))
+        w_score, v_score, vec_score, w_ih, w_hh, w_out = (p.data for p in (
+            self.w_score, self.v_score, self.vec_score, self.w_ih, self.w_hh, self.w_out))
 
         def backward(g):
             g = g.transpose(1, 0, 2)  # time-major, (T, B, 37)
-            w_rec = np.concatenate([self.w_ih.data[:, NUM_CLASSES:], self.w_hh.data], axis=1)
-            dh_out = g @ self.w_out.data
+            w_rec = np.concatenate([w_ih[:, NUM_CLASSES:], w_hh], axis=1)
+            dh_out = g @ w_out
             dgates, dctx, dscores = np.empty_like(gates), np.empty_like(contexts), np.empty_like(alphas)
             dwh, dkeys = np.empty_like(hs[1:]), np.zeros_like(keys)
             dh, dc = np.zeros_like(hs[:2])
@@ -313,14 +315,14 @@ class AttnDecoder:
                 # context = alpha H, alpha = softmax(act v), act = tanh(keys + W h_prev)
                 dalpha = (enc @ dctx[t][:, :, None])[:, :, 0]
                 dscores[t] = alphas[t] * (dalpha - (dalpha * alphas[t]).sum(axis=1, keepdims=True))
-                dpre = dscores[t][:, :, None] * self.vec_score.data * (1 - acts[t] ** 2)
+                dpre = dscores[t][:, :, None] * vec_score * (1 - acts[t] ** 2)
                 dkeys += dpre
                 dwh[t] = dpre.sum(axis=1)
-                dh += dwh[t] @ self.w_score.data
+                dh += dwh[t] @ w_score
             d2, h2, k2 = dgates.reshape(rows, -1), hs[:-1].reshape(rows, -1), dkeys.reshape(-1, hid)
             x2 = np.concatenate([np.eye(NUM_CLASSES, dtype=d2.dtype)[prev.reshape(-1)],
                                  contexts.reshape(rows, -1)], axis=1)
-            genc = dkeys @ self.v_score.data + alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2)
+            genc = dkeys @ v_score + alphas.transpose(1, 2, 0) @ dctx.transpose(1, 0, 2)
             return (genc, dwh.reshape(rows, -1).T @ h2, k2.T @ enc.reshape(-1, width),
                     k2.sum(axis=0), dscores.reshape(-1) @ acts.reshape(-1, hid),
                     d2.T @ x2, d2.T @ h2, d2.sum(axis=0),

@@ -5,25 +5,30 @@ builds its constants in that dtype, so a float32 model computes in float32,
 forward and backward, and a float64 one in float64. Raw data keeps its float
 dtype; integer data becomes float64. ``grad_check`` takes float64 tensors
 only, so that finite differences are meaningful. A tensor records the
-operation that produced it (parents + backward closure); calling ``backward``
-on a scalar walks the graph once in reverse topological order and
-accumulates gradients additively into the leaves it reaches (tensors no op
-produced, such as parameters, with ``requires_grad`` set). A graph serves one
-backward: each node releases its parents and closure once its closure has run.
-``backward`` on a tensor that does not require a gradient (a constant, or a
-result built under ``no_grad``) raises ``StateError``.
+operation that produced it as a graph node: the backward closure and, for
+each parent, its link (the parent's node, the parent itself if it is a leaf
+that needs a gradient, or nothing). Calling ``backward`` on a scalar walks the
+nodes once in reverse topological order and accumulates gradients additively
+into the leaves it reaches (tensors no op produced, such as parameters, with
+``requires_grad`` set). A graph serves one backward: each node releases its
+parents and closure once its closure has run. ``backward`` on a tensor that
+does not require a gradient (a constant, or a result built under ``no_grad``)
+raises ``StateError``.
 
 Inside a ``with no_grad():`` block every op computes the same values but
-records nothing: its output has ``requires_grad`` unset and no parents or
-closure, so each intermediate is freed as soon as nothing refers to it. The
-block nests and restores the previous state on exit, also on an exception.
-Inference (``Model.decode``, eval-mode ``Model.loss``) runs under it. ``conv2d``
-runs one kernel, a chunked im2col correlation, for forward and input gradient.
+records nothing: its output has ``requires_grad`` unset and no node, so each
+intermediate is freed as soon as nothing refers to it. The block nests and
+restores the previous state on exit, also on an exception. Inference
+(``Model.decode``, eval-mode ``Model.loss``) runs under it. ``conv2d`` runs
+one kernel, a chunked im2col correlation, for forward and input gradient.
 
-A recorded op keeps no copy derived from its input: a backward reads its
-parents' data again (``conv2d`` pads each chunk anew, ``batchnorm`` recomputes
-x - mean, a padded ``maxpool2d`` pads again) and keeps only per-channel
-constants of its own. So nothing may write a recorded tensor's data in place
+A node keeps only what its backward reads: its closure captures arrays,
+shapes and ``requires_grad`` flags, never a Tensor, and it keeps no copy
+derived from its input (``conv2d`` pads each chunk anew, ``batchnorm``
+recomputes x - mean, a padded ``maxpool2d`` pads again). So a result's data
+lives only as long as its caller or a backward holds it: a batch-norm output
+that only a ReLU or an add consumes is freed during the forward. A backward
+reads the arrays it captured, so nothing may write a recorded array in place
 before ``backward`` has run.
 """
 
@@ -88,15 +93,23 @@ def no_grad():
         _recording = outer
 
 
+class _Node:
+    """The graph link of one recorded result: its backward closure and its parents' links."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents, backward):
+        self.parents, self.backward = parents, backward
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = None  # set on a recorded result; a leaf is its own link
 
     # -- basic introspection -------------------------------------------------
 
@@ -134,12 +147,8 @@ class Tensor:
         out.data = data
         out.requires_grad = _recording and any(p.requires_grad for p in parents)
         out.grad = None
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out._parents = ()
-            out._backward = None
+        out._node = _Node(tuple((p._node or p) if p.requires_grad else None for p in parents),
+                          backward) if out.requires_grad else None
         return out
 
     def backward(self, grad=None):
@@ -161,9 +170,10 @@ class Tensor:
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
 
+        root = self._node or self
         order = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -173,21 +183,21 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
+            for p in getattr(node, "parents", ()):  # a leaf has none
+                if p is not None and id(p) not in visited:
                     stack.append((p, False))
 
-        grads = {id(self): grad}
+        grads = {id(root): grad}
         while order:
             node = order.pop()
             g = grads.pop(id(node))
-            backward, parents = node._backward, node._parents
-            if backward is None:  # a leaf
+            if type(node) is Tensor:  # a leaf
                 node.grad = np.array(g, dtype=node.dtype) if node.grad is None else node.grad + g
                 continue
-            node._parents, node._backward = (), _freed
+            backward, parents = node.backward, node.parents
+            node.parents, node.backward = (), _freed
             for p, pg in zip(parents, backward(g)):
-                if pg is None or not p.requires_grad:
+                if pg is None or p is None:
                     continue
                 if id(p) in grads:
                     grads[id(p)] = grads[id(p)] + pg
@@ -203,31 +213,27 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        a, b = self, other
-        out_data = a.data + b.data
+        ashape, bshape = self.shape, other.shape
 
         def backward(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return _unbroadcast(g, ashape), _unbroadcast(g, bshape)
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(self.data + other.data, (self, other), backward)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        a, b = self, other
-        out_data = a.data * b.data
+        a, b = self.data, other.data
 
         def backward(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+            return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(a * b, (self, other), backward)
 
     def __neg__(self):
-        a = self
-
         def backward(g):
             return (-g,)
 
-        return Tensor._make(-a.data, (a,), backward)
+        return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -235,55 +241,50 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        a = self
-        out_data = a.data.reshape(*shape)
+        ashape = self.shape
 
         def backward(g):
-            return (g.reshape(a.shape),)
+            return (g.reshape(ashape),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(self.data.reshape(*shape), (self,), backward)
 
     def transpose(self, *axes):
         axes = axes or tuple(reversed(range(self.ndim)))
-        a = self
         inv = np.argsort(axes)
-        out_data = a.data.transpose(axes)
 
         def backward(g):
             return (g.transpose(inv),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(self.data.transpose(axes), (self,), backward)
 
     @property
     def T(self):
         return self.transpose()
 
     def __getitem__(self, key):
-        a = self
-        out_data = a.data[key]
+        ashape, dtype = self.shape, self.dtype
 
         def backward(g):
-            full = np.zeros_like(a.data)
+            full = np.zeros(ashape, dtype)
             np.add.at(full, key, g)
             return (full,)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(self.data[key], (self,), backward)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        ashape = self.shape
 
         def backward(g):
             if axis is None:
-                return (np.broadcast_to(g, a.shape),)
+                return (np.broadcast_to(g, ashape),)
             g2 = g
             if not keepdims:
                 g2 = np.expand_dims(g, axis)
-            return (np.broadcast_to(g2, a.shape),)
+            return (np.broadcast_to(g2, ashape),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims=False):
         n = self.size if axis is None else np.prod(
@@ -298,14 +299,14 @@ class Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out_data = a.data @ b.data
+    ad, bd = a.data, b.data
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = g @ np.swapaxes(bd, -1, -2)
+        gb = np.swapaxes(ad, -1, -2) @ g
+        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(ad @ bd, (a, b), backward)
 
 
 # -- nonlinearities ------------------------------------------------------------
@@ -443,23 +444,25 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     c_out, _, kh, kw = weight.shape
     ho, wo = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
 
+    xd, wd, need_x, need_w = x.data, weight.data, x.requires_grad, weight.requires_grad
+
     def backward(g):
         gw = gx = None
-        if weight.requires_grad:
+        if need_w:
             gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)  # sum of g_n @ patches_n^T
-            for s in _chunks(n, c_in * kh * kw * ho * wo * x.data.itemsize):
-                for gi, pi in zip(g[s].reshape(-1, c_out, ho * wo), _patches(x.data[s], kh, kw, sh, sw, ph, pw)):
+            for s in _chunks(n, c_in * kh * kw * ho * wo * xd.itemsize):
+                for gi, pi in zip(g[s].reshape(-1, c_out, ho * wo), _patches(xd[s], kh, kw, sh, sw, ph, pw)):
                     gw += gi @ pi.T
-            gw = gw.reshape(weight.shape)
-        if x.requires_grad:
+            gw = gw.reshape(wd.shape)
+        if need_x:
             # g[y, x] at (kh-1 + y*sh, kw-1 + x*sw); the window at (ph, pw) frames or crops it
             gd = np.zeros((n, c_out, h + 2 * ph + kh - 1, w + 2 * pw + kw - 1), dtype=g.dtype)
             gd[:, :, kh - 1::sh, kw - 1::sw][:, :, :ho, :wo] = g
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gx = _correlate(gd[:, :, ph:ph + h + kh - 1, pw:pw + w + kw - 1], flipped, 1, 1)
         return gx, gw
 
-    return Tensor._make(_correlate(x.data, weight.data, sh, sw, ph, pw), (x, weight), backward)
+    return Tensor._make(_correlate(xd, wd, sh, sw, ph, pw), (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
@@ -479,7 +482,8 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     ho = conv_output_size(h, kh, sh, ph, floor=True)
     wo = conv_output_size(w, kw, sw, pw, floor=True)
 
-    xp = _pad(x.data, ph, pw, -np.inf)
+    xd = x.data
+    xp = _pad(xd, ph, pw, -np.inf)
     cells = [(..., slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
              for i in range(kh) for j in range(kw)]
     out_data = xp[cells[0]].copy()
@@ -487,7 +491,7 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
         np.maximum(xp[cell], out_data, out=out_data)  # a tie keeps out_data, the earlier cell
 
     def backward(g):
-        xp = _pad(x.data, ph, pw, -np.inf)
+        xp = _pad(xd, ph, pw, -np.inf)
         gxp = np.zeros_like(xp)
         free = np.ones(out_data.shape, dtype=bool)  # outputs whose gradient is unclaimed
         for cell in cells:
@@ -615,28 +619,28 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         raise ShapeError(f"batchnorm expects 4-D (NCHW) input, got {x.shape}")
     axes, cshape = (0, 2, 3), (1, -1, 1, 1)
 
-    gam = gamma.data.reshape(cshape)
+    xd, gam = x.data, gamma.data.reshape(cshape)
     if mode == "train":
-        mu = x.data.mean(axis=axes, keepdims=True)
-        out_data = x.data - mu  # x - mean, scaled and shifted into the output in place
+        mu = xd.mean(axis=axes, keepdims=True)
+        out_data = xd - mu  # x - mean, scaled and shifted into the output in place
         var = (out_data * out_data).mean(axis=axes, keepdims=True)
         state.update(mu.reshape(-1), var.reshape(-1))
         inv_std = (var + state.eps) ** -0.5
         scale = gam * inv_std
         out_data *= scale
         out_data += beta.data.reshape(cshape)
-        count = x.size // gamma.size
+        count, gshape, bshape = x.size // gamma.size, gamma.shape, beta.shape
 
         def backward(g):
             # with xhat = xc * inv_std: sum(g * xhat) = inv_std * sum(g * xc)
-            xc = x.data - mu
+            xc = xd - mu
             gbeta = g.sum(axis=axes, keepdims=True)
             gxc = (g * xc).sum(axis=axes, keepdims=True)
             gx = xc * (-inv_std * inv_std * gxc / count)
             gx += g
             gx -= gbeta / count
             gx *= scale
-            return gx, (gxc * inv_std).reshape(gamma.shape), gbeta.reshape(beta.shape)
+            return gx, (gxc * inv_std).reshape(gshape), gbeta.reshape(bshape)
 
         return Tensor._make(out_data, (x, gamma, beta), backward)
     if mode == "eval":
@@ -645,7 +649,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         if _recording and (x.requires_grad or gamma.requires_grad or beta.requires_grad):
             raise StateError("batchnorm eval mode is inference: run it under no_grad")
         scale = gam * (state.running_var.reshape(cshape) + state.eps) ** -0.5
-        out_data = x.data * scale
+        out_data = xd * scale
         out_data += beta.data.reshape(cshape) - state.running_mean.reshape(cshape) * scale
         return Tensor(out_data)
     raise ValueError(f"unknown batchnorm mode {mode!r}")
@@ -714,6 +718,7 @@ def bilstm(x: Tensor, fwd, bwd) -> Tensor:
     (4, 2, B, H) activations, so every array a step touches is contiguous. The
     backward runs one BPTT loop of ``lstm_cell_backward`` the same way, then forms
     each direction's input and weight gradients with one GEMM over all T*B rows.
+    The node keeps the input, not its time-major copy; the backward rebuilds that.
     """
     hid = fwd[1].shape[1]
     w_ih, w_hh, bias = (np.array([f.data, b.data]) for f, b in zip(fwd, bwd))
@@ -752,7 +757,9 @@ def bilstm(x: Tensor, fwd, bwd) -> Tensor:
         gx = (gx[0] + gx[1, ::-1]).transpose(1, 0, 2)
         d2t = d2.transpose(0, 2, 1)
         h_prev = hs[:-1].transpose(1, 0, 2, 3).reshape(2, steps * batch, hid)
-        gw_ih, gw_hh, gb = d2t @ x2, d2t @ h_prev, d2.sum(axis=1)
+        # the input in each recurrence's order again, one direction at a time
+        gw_ih = [d2t[i] @ xi.reshape(steps * batch, -1) for i, xi in enumerate((xs, xs[::-1]))]
+        gw_hh, gb = d2t @ h_prev, d2.sum(axis=1)
         return gx, gw_ih[0], gw_hh[0], gb[0], gw_ih[1], gw_hh[1], gb[1]
 
     return Tensor._make(out_data, (x, *fwd, *bwd), backward)
@@ -786,7 +793,7 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
     def in_range(xi, yi):
         return (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
 
-    corners = []
+    corners = []  # per corner: its flat index y * w + x in an image, clipped; weight; in range
     for yi, xi, wgt in (
         (y0, x0, (1 - fx) * (1 - fy)),
         (y0, x1, fx * (1 - fy)),
@@ -794,38 +801,37 @@ def bilinear_sample(x: Tensor, grid: Tensor) -> Tensor:
         (y1, x1, fx * fy),
     ):
         valid = in_range(xi, yi)
-        xc = np.clip(xi, 0, w - 1)
-        yc = np.clip(yi, 0, h - 1)
-        corners.append((yc, xc, wgt * valid, valid))
+        corners.append((np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1), wgt * valid, valid))
 
     batch = np.arange(n)[:, None, None]
+    pixels = x.data.reshape(n, c, h * w)
     out_data = np.zeros((n, c, ho, wo), dtype=x.dtype)
     vals = []
-    for yc, xc, wgt, _ in corners:
-        v = x.data[batch, :, yc, xc]  # (N, Ho, Wo, C)
+    for flat, wgt, _ in corners:
+        v = pixels[batch, :, flat]  # (N, Ho, Wo, C)
         vals.append(v)
         out_data += (v * wgt[..., None]).transpose(0, 3, 1, 2)
+    dtype, need_x, need_grid = x.dtype, x.requires_grad, grid.requires_grad
 
     def backward(g):
         gt = g.transpose(0, 2, 3, 1)  # (N, Ho, Wo, C)
         grad_x = None
-        if x.requires_grad:
+        if need_x:
             # scatter-add into a (N*H*W, C) view; windows may overlap
-            acc = np.zeros((n * h * w, c), dtype=x.dtype)
+            acc = np.zeros((n * h * w, c), dtype=dtype)
             gflat = gt.reshape(n, ho * wo, c)
             offsets = (np.arange(n) * (h * w))[:, None]
-            for yc, xc, wgt, _ in corners:
-                flat = (yc * w + xc).reshape(n, ho * wo) + offsets
+            for flat, wgt, _ in corners:
                 contrib = gflat * wgt.reshape(n, ho * wo, 1)
-                np.add.at(acc, flat.reshape(-1), contrib.reshape(-1, c))
+                np.add.at(acc, (flat.reshape(n, ho * wo) + offsets).reshape(-1), contrib.reshape(-1, c))
             grad_x = acc.reshape(n, h, w, c).transpose(0, 3, 1, 2)
         grad_grid = None
-        if grid.requires_grad:
+        if need_grid:
             v00, v10, v01, v11 = vals  # (y0x0, y0x1, y1x0, y1x1)
-            val00 = v00 * corners[0][3][..., None]
-            val10 = v10 * corners[1][3][..., None]
-            val01 = v01 * corners[2][3][..., None]
-            val11 = v11 * corners[3][3][..., None]
+            val00 = v00 * corners[0][2][..., None]
+            val10 = v10 * corners[1][2][..., None]
+            val01 = v01 * corners[2][2][..., None]
+            val11 = v11 * corners[3][2][..., None]
             dgx = ((val10 - val00) * (1 - fy)[..., None] + (val11 - val01) * fy[..., None])
             dgy = ((val01 - val00) * (1 - fx)[..., None] + (val11 - val10) * fx[..., None])
             gg_x = (gt * dgx).sum(axis=-1) * (w - 1) / 2.0

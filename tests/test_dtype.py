@@ -17,30 +17,48 @@ from strforge.tensor import Tensor
 from strforge.toydata import synth_toydata
 
 
-def graph_nodes(root):
-    """Every tensor the graph of `root` reaches, constants included."""
-    seen, stack, out = set(), [root], []
+def graph_links(root):
+    """Every link the graph of `root` reaches: its nodes and the leaves that need a gradient."""
+    seen, stack, out = set(), [root._node], []
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            out.append(node)
-            stack.extend(node._parents)
+        link = stack.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            out.append(link)
+            if isinstance(link, tc._Node):
+                stack.extend(link.parents)
     return out
+
+
+def recorded_dtypes(monkeypatch, forward):
+    """``forward()``, and the dtypes of every array an op records while it runs:
+    each result and each operand, constants included."""
+    dtypes = []
+    make = Tensor._make
+
+    def spy(data, parents, backward):
+        dtypes.extend(str(a.dtype) for a in [data] + [p.data for p in parents])
+        return make(data, parents, backward)
+
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "_make", staticmethod(spy))
+        out = forward()
+    assert len(dtypes) > 100
+    return out, set(dtypes)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("name", ["None-VGG-BiLSTM-CTC", "None-RCNN-None-Attn",
                                   "TPS-ResNet-BiLSTM-Attn"])
-def test_loss_and_backward_stay_in_model_dtype(name, dtype):
+def test_loss_and_backward_stay_in_model_dtype(monkeypatch, name, dtype):
     model = assemble(PipelineConfig.from_string(name, scale=0.125), dtype=dtype)
     data = synth_toydata(2, max_len=3, seed=0)
-    loss = model.loss(Tensor(np.asarray(data.images, dtype=dtype)), data.labels)
-    nodes = graph_nodes(loss)  # backward frees the graph, so walk it first
-    assert {id(p) for p in model.params().values()} <= {id(n) for n in nodes}
-    assert ({id(n) for n in nodes if n.requires_grad and n._backward is None}
-            <= {id(p) for p in model.params().values()})
-    assert {str(n.dtype) for n in nodes} == {np.dtype(dtype).name}
+    images = Tensor(np.asarray(data.images, dtype=dtype))
+    loss, dtypes = recorded_dtypes(monkeypatch, lambda: model.loss(images, data.labels))
+    assert dtypes == {np.dtype(dtype).name}
+    links = graph_links(loss)  # backward frees the graph, so walk it first
+    assert ({id(n) for n in links if isinstance(n, Tensor)}
+            == {id(p) for p in model.params().values()})
     emitted = []
 
     def recording(backward):
@@ -50,9 +68,9 @@ def test_loss_and_backward_stay_in_model_dtype(name, dtype):
             return grads
         return wrapped
 
-    for n in nodes:
-        if n._backward is not None:
-            n._backward = recording(n._backward)
+    for n in links:
+        if isinstance(n, tc._Node):
+            n.backward = recording(n.backward)
     loss.backward()
     assert len(emitted) > 100
     assert {str(g.dtype) for g in emitted} == {np.dtype(dtype).name}
@@ -146,11 +164,12 @@ def test_float32_tracks_float64_on_all_24(monkeypatch):
                 assert gap <= 1e-4, (cfg.name, seed, gap)
 
 
-def test_float64_images_run_in_the_model_dtype():
+def test_float64_images_run_in_the_model_dtype(monkeypatch):
     model = assemble(PipelineConfig.from_string("None-VGG-BiLSTM-CTC", scale=0.125))
     data = synth_toydata(2, max_len=3, seed=0)
-    loss = model.loss(Tensor(np.asarray(data.images, dtype=np.float64)), data.labels)
+    images = Tensor(np.asarray(data.images, dtype=np.float64))
+    loss, dtypes = recorded_dtypes(monkeypatch, lambda: model.loss(images, data.labels))
     loss.backward()
     assert loss.dtype == np.float32
-    assert {str(n.dtype) for n in graph_nodes(loss)} == {"float32"}
+    assert dtypes == {"float32"}
     assert all(p.grad.dtype == np.float32 for p in model.params().values())

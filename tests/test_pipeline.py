@@ -29,6 +29,7 @@ from strforge.pipeline import (
     _training_indices,
 )
 from strforge import checkpoint as ckpt
+from strforge import tensor as tc
 from strforge.predict import AttnDecoder
 from strforge.seqmodel import BiLSTMLayer
 from strforge.tensor import ParamStore, StateError, Tensor, no_grad
@@ -596,7 +597,7 @@ def test_decode_records_no_graph_and_training_still_does(monkeypatch):
 
     def spy(data, parents, backward):
         out = make(data, parents, backward)
-        made.append(out.requires_grad or bool(out._parents) or out._backward is not None)
+        made.append(out.requires_grad or out._node is not None)
         return out
 
     monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
@@ -635,10 +636,10 @@ def test_no_grad_changes_no_value_on_all_24():
 
 
 # Bytes a recorded train-mode loss on 8 images holds (scale 1/8, float32):
-# measured 37.5 MB and 8.30 MB, bounded at +10%. Each graph node keeps only
-# its output and per-channel constants; keeping a padded or centred copy of
-# an input (57.7 MB and 9.97 MB) fails the bound.
-GRAPH_BYTES = {"TPS-ResNet-BiLSTM-Attn": 41_300_000, "None-VGG-BiLSTM-CTC": 9_130_000}
+# measured 23.6 MB and 4.12 MB, bounded at +10%. Each graph node keeps only
+# what its backward reads; keeping every op's output, as a node that links
+# its parents' Tensors does (37.5 MB and 8.29 MB), fails the bound.
+GRAPH_BYTES = {"TPS-ResNet-BiLSTM-Attn": 25_960_000, "None-VGG-BiLSTM-CTC": 4_540_000}
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_BYTES))
@@ -657,6 +658,25 @@ def test_recorded_loss_graph_stays_under_its_measured_size(name):
     assert held <= GRAPH_BYTES[name]
 
 
+def test_no_backward_closure_holds_a_tensor_on_all_24():
+    # a node links its parents by node and its closure captures arrays, shapes and
+    # flags: a captured Tensor would keep its data alive as long as the graph
+    data = synth_toydata(2, max_len=3, seed=0)
+    for cfg in all_combinations(scale=0.125):
+        loss = assemble(cfg).loss(Tensor(data.images), data.labels)
+        seen, stack = set(), [loss._node]
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, tc._Node) or id(node) in seen:
+                continue  # a leaf, a parent that needs no gradient, or a node seen
+            seen.add(id(node))
+            stack.extend(node.parents)
+            cells = [c.cell_contents for c in node.backward.__closure__ or ()]
+            held = [v for c in cells for v in (c if isinstance(c, (tuple, list)) else (c,))]
+            assert not any(isinstance(v, Tensor) for v in held), (cfg.name, node.backward.__qualname__)
+        assert len(seen) > 20, cfg.name
+
+
 @pytest.mark.parametrize("name", ["None-VGG-BiLSTM-CTC", "TPS-ResNet-BiLSTM-Attn"])
 def test_eval_loss_records_no_graph(monkeypatch, name):
     model = assemble(PipelineConfig.from_string(name, scale=0.125))
@@ -668,7 +688,7 @@ def test_eval_loss_records_no_graph(monkeypatch, name):
 
     def spy(data, parents, backward):
         out = make(data, parents, backward)
-        made.append(out.requires_grad or bool(out._parents) or out._backward is not None)
+        made.append(out.requires_grad or out._node is not None)
         return out
 
     monkeypatch.setattr(Tensor, "_make", staticmethod(spy))

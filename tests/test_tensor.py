@@ -177,7 +177,7 @@ class TestNoGrad:
         recorded = tc.tanh(tc.matmul(x, w))
         with tc.no_grad():
             y = tc.tanh(tc.matmul(x, w))
-        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert not y.requires_grad and y._node is None
         assert np.array_equal(y.data, recorded.data)
         assert x.requires_grad and w.requires_grad  # leaves keep their flag
 
@@ -367,8 +367,8 @@ class TestNNOps:
         lambda x, w, g, b: tc.maxpool2d(x, (2, 2), (2, 1), (0, 1)),
     ], ids=["conv2d-padded", "batchnorm-train", "maxpool2d-padded"])
     def test_recorded_op_holds_only_its_output(self, op):
-        # a recorded node keeps per-channel constants and its parents, not a
-        # padded or centred copy of its input: its backward rebuilds that from x.data
+        # a recorded node keeps per-channel constants and its input array, not a
+        # padded or centred copy of it: its backward rebuilds that from the input
         x, w = (Tensor(rand(s, i).astype(np.float32), requires_grad=True)
                 for i, s in enumerate([(16, 8, 16, 50), (8, 8, 3, 3)]))
         g, b = (Tensor(np.full(8, v, np.float32), requires_grad=True) for v in (1.0, 0.0))
@@ -380,6 +380,33 @@ class TestNNOps:
             tracemalloc.stop()
         assert out.requires_grad
         assert held <= out.data.nbytes + 16 * 1024  # measured: 2-3 KiB beyond the output
+
+    @pytest.mark.parametrize("produce, consume", [
+        (lambda t: tc.batchnorm(t["x"], t["g"], t["b"], tc.BatchNormState(8), mode="train"),
+         lambda mid, t: tc.relu(mid)),
+        (lambda t: t["x"] + t["y"], lambda mid, t: tc.relu(mid)),
+        (lambda t: tc.conv2d(t["x"], t["w"], padding=(1, 1)), lambda mid, t: mid + t["b"].reshape(1, -1, 1, 1)),
+        (lambda t: tc.matmul(t["x"], t["m"]), lambda mid, t: mid + t["b"]),
+    ], ids=["batchnorm-relu", "add-relu", "conv2d-bias", "matmul-bias"])
+    def test_an_output_no_backward_reads_is_freed_with_its_tensor(self, produce, consume):
+        # the consumer's node links the producer's node, not its Tensor, and neither
+        # backward reads the producer's output: dropping the Tensor frees the array,
+        # and backward still gives the bits of a run that kept everything
+        shapes = {"x": (2, 8, 5, 6), "y": (2, 8, 5, 6), "w": (8, 8, 3, 3), "m": (6, 8), "g": (8,), "b": (8,)}
+
+        def run(keep):
+            t = {k: Tensor(rand(s, i), requires_grad=True) for i, (k, s) in enumerate(shapes.items())}
+            mid = produce(t)
+            out = consume(mid, t)
+            if not keep:
+                freed = weakref.ref(mid.data)
+                del mid
+                assert freed() is None and out.requires_grad
+            (out * Tensor(rand(out.shape, 9))).sum().backward()
+            return [t[k].grad for k in shapes]
+
+        for got, want in zip(run(keep=False), run(keep=True)):
+            assert (got is None and want is None) or np.array_equal(got, want)
 
     def test_batchnorm_train_grad(self):
         x = Tensor(rand((4, 3, 2, 2), 5), requires_grad=True)
@@ -408,7 +435,7 @@ class TestNNOps:
                 tc.batchnorm(x, g, b, state, mode="eval")
             with tc.no_grad():
                 out = tc.batchnorm(x, g, b, state, mode="eval")
-            assert not out.requires_grad and out._parents == () and out._backward is None
+            assert not out.requires_grad and out._node is None
         # outside a recording graph it needs no no_grad: constants record nothing
         c = (1, -1, 1, 1)
         want = ((data[0] - state.running_mean.reshape(c))
