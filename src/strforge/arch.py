@@ -189,10 +189,6 @@ class ArchGraph:
     def param_count(self):
         return sum(params for _, _, _, params, _, _ in self.walk())
 
-    def trainable_layer_count(self):
-        """Conv + FC layer count; residual projection shortcuts excluded."""
-        return sum(trainable for *_, trainable in self.walk())
-
     def flop_count(self, input_shape=None):
         """Approximate multiply-accumulate count x2 for conv/fc layers (see `_rule`)."""
         return sum(flops for *_, flops, _ in self.walk(input_shape))

@@ -5,8 +5,7 @@ special class — blank for CTC, end-of-sequence for attention. CTC marginal
 probabilities are computed by the forward (alpha) dynamic program over the
 blank-interleaved label, in log space, as one graph node whose backward is the
 closed-form alpha-beta occupation posterior, so ``ctc_loss_batch``
-backpropagates into the frame log-probabilities. A brute-force
-path-enumeration oracle validates the recursion on small instances. The
+backpropagates into the frame log-probabilities. The
 attention math is one NumPy step, ``AttnDecoder.step``: greedy decoding calls
 it on arrays, and the teacher-forced loss runs it inside one graph node,
 ``AttnDecoder.forward``. Its LSTM core is ``tensor.lstm_cell`` on a gate-major
@@ -86,20 +85,8 @@ def collapse(pi) -> str:
 
 # -- CTC forward algorithm ----------------------------------------------------------
 #
-# Posteriors over fewer than 37 classes are treated as restricted alphabets:
-# classes 0..C-2 stand for 'a', 'b', ... and the last class is the blank (in
-# the full 37-class case the blank is likewise the last class, index 36).
-
-
-def encode_for(classes: int, y: str) -> np.ndarray:
-    """Class indices of `y` for posteriors over `classes` classes."""
-    if classes == NUM_CLASSES:
-        return CODEC.encode(y)
-    sub = "abcdefghijklmnopqrstuvwxyz"[:classes - 1]
-    try:
-        return np.array([sub.index(ch) for ch in y], dtype=np.int64)
-    except ValueError:
-        raise CodecError(f"label {y!r} outside restricted alphabet {sub!r}") from None
+# The blank is the last class of the posteriors: index 36 of the 37 classes, or
+# C-1 of a restricted alphabet of C classes.
 
 
 def _extended_label(y: np.ndarray, blank: int) -> np.ndarray:
@@ -191,37 +178,6 @@ def ctc_loss_batch(h: Tensor, labels) -> Tensor:
     logp = ctc_log_prob_batch(h, labels)
     feasible = logp[np.flatnonzero(logp.data != NEG_INF)]
     return -(feasible.sum() * (1.0 / len(labels)))
-
-
-def ctc_brute_force(h, y: str) -> float:
-    """Exact sum over every collapsing alignment; test oracle for small instances."""
-    h = np.asarray(h.data if isinstance(h, Tensor) else h, dtype=np.float64)
-    steps, classes = h.shape
-    if steps > 8:
-        raise ValueError("brute-force oracle limited to T <= 8")
-    if classes > 4:
-        raise ValueError("brute-force oracle limited to <= 4 classes")
-    blank = classes - 1
-    target = list(encode_for(classes, y))
-    total = 0.0
-    probs = np.exp(h)
-
-    def mapped(path):
-        out = []
-        prev = None
-        for i in path:
-            if i != prev and i != blank:
-                out.append(i)
-            prev = i
-        return out
-
-    for flat in np.ndindex(*([classes] * steps)):
-        if mapped(flat) == target:
-            p = 1.0
-            for t, c in enumerate(flat):
-                p *= probs[t, c]
-            total += p
-    return total
 
 
 def ctc_greedy_decode(h) -> str:

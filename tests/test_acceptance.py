@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from ctc_oracle import ctc_brute_force, encode_for
 from strforge.arch import (
     ArchWarning,
     build_localization_net,
@@ -39,10 +40,8 @@ from strforge.predict import (
     CODEC,
     attn_loss_batch,
     collapse,
-    ctc_brute_force,
     ctc_log_prob_batch,
     ctc_loss_batch,
-    encode_for,
 )
 from strforge.tensor import (
     Tensor,
@@ -267,7 +266,7 @@ def test_criterion_5_architecture_fidelity(recwarn):
     resnet = build_resnet()
     ns = dict(resnet.infer_shapes(emit_warnings=False))
     assert ns["conv7"] == (512, 1, 26)
-    assert resnet.trainable_layer_count() == 29
+    assert resnet.describe()["trainable_layers"] == 29
 
     loc = build_localization_net(20)
     assert dict(loc.infer_shapes(emit_warnings=False))["fc2"] == (40,)

@@ -60,7 +60,7 @@ class TestShapeTables:
 
 GRAPHS = dict(BUILDERS, loc=lambda scale: build_localization_net(20, scale=scale))
 
-# (param_count, flop_count, trainable_layer_count), exact.
+# (param_count, flop_count, describe()["trainable_layers"]), exact.
 PINNED = {
     ("vgg", 1.0): (5_549_824, 1_233_666_048, 7),
     ("vgg", 0.125): (87_136, 19_679_232, 7),
@@ -77,7 +77,7 @@ class TestCounts:
     @pytest.mark.parametrize("name,scale", list(PINNED))
     def test_pinned_counts(self, name, scale):
         g = GRAPHS[name](scale=scale)
-        counts = (g.param_count(), g.flop_count(), g.trainable_layer_count())
+        counts = (g.param_count(), g.flop_count(), g.describe()["trainable_layers"])
         assert counts == PINNED[name, scale]
         d = g.describe()
         assert (d["param_count"], d["flop_count"], d["trainable_layers"]) == counts
@@ -95,7 +95,7 @@ class TestCounts:
         assert abs(n - 44.3e6) / 44.3e6 < 0.10
 
     def test_resnet_trainable_layers_29(self):
-        assert build_resnet().trainable_layer_count() == 29
+        assert build_resnet().describe()["trainable_layers"] == 29
 
     def test_localization_param_count(self):
         n = build_localization_net(20).param_count()

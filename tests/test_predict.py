@@ -13,13 +13,12 @@ from strforge.predict import (
     attn_greedy_decode_batch,
     attn_loss_batch,
     collapse,
-    ctc_brute_force,
     ctc_greedy_decode,
     ctc_log_prob_batch,
     ctc_loss_batch,
-    encode_for,
 )
 from strforge.tensor import ParamStore, Tensor, grad_check, log_softmax
+from ctc_oracle import ctc_brute_force, encode_for
 from test_tensor import lstm_cell_reference
 
 
