@@ -351,7 +351,7 @@ class _ConvLayer:
     def forward(self, x, mode):
         out = tc.conv2d(x, self.weight, self.stride, self.padding)
         if self.bias is not None:
-            out = out + self.bias.reshape(1, -1, 1, 1)
+            out = out + self.bias.reshape(-1, 1, 1, 1)
         return out
 
 
@@ -380,7 +380,7 @@ class _ReluLayer:
 
 class _APoolLayer:
     def forward(self, x, mode):
-        return x.mean(axis=(-2, -1))
+        return x.mean(axis=(-2, -1)).T  # (C, N, H, W) -> (N, C)
 
 
 class _FCLayer:
@@ -389,8 +389,8 @@ class _FCLayer:
         self.bias = store.new(f"{name}.bias", (n_out,))
 
     def forward(self, x, mode):
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
+        if x.ndim > 2:  # (C, N, H, W) -> (N, C*H*W)
+            x = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
         return tc.matmul(x, self.weight.T) + self.bias
 
 
@@ -459,7 +459,12 @@ class _ResBlockLayer:
 
 
 class Net:
-    """Runnable instantiation of an ArchGraph, its tensors created in `store`."""
+    """Runnable instantiation of an ArchGraph, its tensors created in `store`.
+
+    ``forward`` takes NCHW images; inside, every layer works on channel-major
+    (C, N, H, W) maps, so that a conv chunk's patches are one (C*kh*kw, n*Ho*Wo)
+    matrix and batch norm reduces contiguous rows.
+    """
 
     def __init__(self, graph: ArchGraph, store, prefix=""):
         self.graph = graph
@@ -494,6 +499,13 @@ class Net:
         raise ValueError(f"unknown layer kind {spec.kind!r}")
 
     def forward(self, x, mode="train"):
+        """NCHW images -> NCHW maps, or (N, F) after an FC head.
+
+        The layers hold channel-major (C, N, H, W) maps: the entry transpose is
+        free at C = 1, and 4-D output is transposed back to NCHW on the way out.
+        An average pool turns (C, N, H, W) into (N, C) for the FC layers after it.
+        """
+        x = x.transpose(1, 0, 2, 3)
         for layer in self.layers:
             x = layer.forward(x, mode)
-        return x
+        return x.transpose(1, 0, 2, 3) if x.ndim == 4 else x

@@ -19,8 +19,14 @@ Inside a ``with no_grad():`` block every op computes the same values but
 records nothing: its output has ``requires_grad`` unset and no node, so each
 intermediate is freed as soon as nothing refers to it. The block nests and
 restores the previous state on exit, also on an exception. Inference
-(``Model.decode``, eval-mode ``Model.loss``) runs under it. ``conv2d`` runs
-one kernel, a chunked im2col correlation, for forward and input gradient.
+(``Model.decode``, eval-mode ``Model.loss``) runs under it.
+
+Feature maps are channel-major: ``conv2d``, ``maxpool2d``, ``batchnorm`` and
+``relu`` take and give (C, N, H, W) arrays, with OIHW conv weights;
+``bilinear_sample`` takes NCHW (at C = 1 the same memory). ``conv2d`` runs one
+kernel, a chunked im2col correlation with one GEMM per chunk of images, for the
+forward and the input gradient, and one GEMM per chunk for the weight gradient.
+Chunk budgets agree to 1e-12 relative in float64, not bit for bit.
 
 A node keeps only what its backward reads: its closure captures arrays,
 shapes and ``requires_grad`` flags, never a Tensor, and it keeps no copy
@@ -385,62 +391,66 @@ def conv_output_size(size, kernel, stride, padding, floor=False):
 _COL_CHUNK_BYTES = 1 << 21  # im2col patches built at a time, forward and backward
 
 
-def _chunks(n, patch_bytes):
-    """Slices of ``n`` images of ``patch_bytes`` patches each, at most ``_COL_CHUNK_BYTES`` a slice."""
-    step = max(1, _COL_CHUNK_BYTES // patch_bytes)
-    return [slice(a, a + step) for a in range(0, n, step)]
-
-
 def _pad(x, ph, pw, fill=0):
-    """NCHW `x` framed by `ph` rows and `pw` columns of `fill`; `x` itself when both are 0."""
+    """`x` with its last two axes framed by `ph` rows and `pw` columns of `fill`;
+    `x` itself when both are 0. The leading axes may be (N, C) or (C, N)."""
     if not (ph or pw):
         return x
-    n, c, h, w = x.shape
-    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), fill, dtype=x.dtype)
-    xp[:, :, ph:ph + h, pw:pw + w] = x
+    h, w = x.shape[-2:]
+    xp = np.full(x.shape[:-2] + (h + 2 * ph, w + 2 * pw), fill, dtype=x.dtype)
+    xp[..., ph:ph + h, pw:pw + w] = x
     return xp
 
 
 def _patches(x, kh, kw, sh, sw, ph, pw):
-    """The (N, C*kh*kw, Ho*Wo) im2col patches of an NCHW input framed by `ph`, `pw`
-    zeros; a view of `x` for an unpadded 1x1 stride-1 kernel."""
-    xp = _pad(x, ph, pw)
-    n, c, hp, wp = xp.shape
-    if kh == kw == sh == sw == 1:
-        return xp.reshape(n, c, -1)
-    strides = xp.strides + (xp.strides[2] * sh, xp.strides[3] * sw)
-    win = np.lib.stride_tricks.as_strided(xp, (n, c, kh, kw, (hp - kh) // sh + 1, (wp - kw) // sw + 1), strides)
-    return win.reshape(n, c * kh * kw, -1)
+    """The im2col patches of a (C, N, H, W) input framed by `ph`, `pw` zeros, by chunks
+    of images: yields (image slice, (C*kh*kw, n*Ho*Wo) patches) with at most
+    ``_COL_CHUNK_BYTES`` of patches a chunk. Each chunk is padded as its patches are
+    built, one copy of the strided window view; an unpadded 1x1 stride-1 kernel has
+    one chunk, the whole activation itself."""
+    c, n, h, w = x.shape
+    if kh == kw == sh == sw == 1 and not (ph or pw):
+        yield slice(None), x.reshape(c, -1)
+        return
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    step = max(1, _COL_CHUNK_BYTES // (c * kh * kw * ho * wo * x.itemsize))
+    for a in range(0, n, step):
+        xp = _pad(x[:, a:a + step], ph, pw)
+        st = xp.strides
+        win = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, xp.shape[1], ho, wo),
+                                              (st[0], st[2], st[3], st[1], st[2] * sh, st[3] * sw))
+        yield slice(a, a + step), win.reshape(c * kh * kw, -1)
 
 
 def _correlate(x, w, sh, sw, ph=0, pw=0):
-    """Cross-correlation of an NCHW input, framed by `ph`, `pw` zeros, with OIHW
-    weights: ``W @ patches`` by chunks of images, each chunk padded as its patches
-    are built, so no padded copy of the whole batch exists. The products are per
-    image, so every chunk size gives the same bits."""
+    """Cross-correlation of a (C, N, H, W) input, framed by `ph`, `pw` zeros, with OIHW
+    weights: one GEMM ``W @ patches`` per chunk of ``_patches``, written straight into
+    the (Cout, N, Ho, Wo) output, so no padded copy of the whole batch exists. A chunk's
+    GEMM sums over C*kh*kw alone, but BLAS blocks it by the chunk's width, so chunk
+    budgets agree to rounding (1e-12 relative in float64), not bit for bit."""
     c_out, c, kh, kw = w.shape
     ho, wo = (x.shape[2] + 2 * ph - kh) // sh + 1, (x.shape[3] + 2 * pw - kw) // sw + 1
     wmat = w.reshape(c_out, -1)
-    out = np.empty((len(x), c_out, ho, wo), dtype=np.result_type(wmat, x))
-    for s in _chunks(len(x), c * kh * kw * ho * wo * x.itemsize):
-        np.matmul(wmat, _patches(x[s], kh, kw, sh, sw, ph, pw), out=out[s].reshape(-1, c_out, ho * wo))
+    out = np.empty((c_out, x.shape[1], ho, wo), dtype=np.result_type(wmat, x))
+    for s, col in _patches(x, kh, kw, sh, sw, ph, pw):
+        np.matmul(wmat, col, out=out[:, s].reshape(c_out, -1))
     return out
 
 
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """2-D cross-correlation over NCHW input with OIHW weights. The forward and
-    the input gradient run one chunked im2col product, ``_correlate``, which pads
-    each chunk of images as it builds its patches; the graph keeps no copy of
-    the input, and the weight gradient pads and lowers ``x.data`` again, chunk
-    by chunk. The input gradient correlates, at stride 1, the flipped,
-    channel-swapped kernel with the output gradient dilated by the stride and
-    framed by kernel-1-padding zeros (cropped where negative)."""
-    if x.ndim != 4 or weight.ndim != 4 or x.shape[1] != weight.shape[1]:
-        raise ShapeError(f"conv2d expects NCHW input, OIHW weight, equal C; got {x.shape}, {weight.shape}")
+    """2-D cross-correlation of a channel-major (C, N, H, W) input with OIHW weights,
+    giving (Cout, N, Ho, Wo). The forward and the input gradient run one chunked
+    im2col product, ``_correlate``; the weight gradient is one GEMM per chunk, g @
+    patches^T, over the patches rebuilt from ``x.data``, so the graph keeps no copy
+    of the input. The input gradient correlates, at stride 1, the flipped,
+    channel-swapped kernel with the output gradient dilated by the stride and framed
+    by kernel-1-padding zeros (cropped where negative)."""
+    if x.ndim != 4 or weight.ndim != 4 or x.shape[0] != weight.shape[1]:
+        raise ShapeError(f"conv2d expects (C, N, H, W) input, OIHW weight, equal C; got {x.shape}, {weight.shape}")
     (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
     if sh < 1 or sw < 1:
         raise ShapeError("stride must be >= 1")
-    n, c_in, h, w = x.shape
+    c_in, n, h, w = x.shape
     c_out, _, kh, kw = weight.shape
     ho, wo = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
 
@@ -449,24 +459,29 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     def backward(g):
         gw = gx = None
         if need_w:
-            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)  # sum of g_n @ patches_n^T
-            for s in _chunks(n, c_in * kh * kw * ho * wo * xd.itemsize):
-                for gi, pi in zip(g[s].reshape(-1, c_out, ho * wo), _patches(xd[s], kh, kw, sh, sw, ph, pw)):
-                    gw += gi @ pi.T
+            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
+            for s, col in _patches(xd, kh, kw, sh, sw, ph, pw):
+                gw += g[:, s].reshape(c_out, -1) @ col.T
             gw = gw.reshape(wd.shape)
         if need_x:
-            # g[y, x] at (kh-1 + y*sh, kw-1 + x*sw); the window at (ph, pw) frames or crops it
-            gd = np.zeros((n, c_out, h + 2 * ph + kh - 1, w + 2 * pw + kw - 1), dtype=g.dtype)
-            gd[:, :, kh - 1::sh, kw - 1::sw][:, :, :ho, :wo] = g
+            gd = g
+            if sh > 1 or sw > 1:
+                gd = np.zeros((c_out, n, (ho - 1) * sh + 1, (wo - 1) * sw + 1), dtype=g.dtype)
+                gd[..., ::sh, ::sw] = g
+            qh, qw = kh - 1 - ph, kw - 1 - pw  # the frame; a negative one crops
+            ch, cw = max(-qh, 0), max(-qw, 0)
+            gd = gd[..., ch:gd.shape[2] - ch, cw:gd.shape[3] - cw]
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _correlate(gd[:, :, ph:ph + h + kh - 1, pw:pw + w + kw - 1], flipped, 1, 1)
+            gx = _correlate(gd, flipped, 1, 1, max(qh, 0), max(qw, 0))
         return gx, gw
 
     return Tensor._make(_correlate(xd, wd, sh, sw, ph, pw), (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
-    """Window maximum; padded cells count as -inf, ties route to the first index.
+    """Window maximum over the last two axes of a (C, N, H, W) map (any 4-D
+    layout: each H x W plane pools alone); padded cells count as -inf, ties
+    route to the first index.
 
     Output size floors when the last window does not fit (trailing rows or
     columns are dropped, as is conventional for pooling). The forward is a
@@ -498,7 +513,7 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
             hit = (xp[cell] == out_data) & free
             free ^= hit
             gxp[cell] += g * hit
-        gx = gxp[:, :, ph:ph + h, pw:pw + w] if (ph or pw) else gxp
+        gx = gxp[..., ph:ph + h, pw:pw + w] if (ph or pw) else gxp
         return (gx,)
 
     return Tensor._make(out_data, (x,), backward)
@@ -605,53 +620,54 @@ class ParamStore:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
               mode: str = "train") -> Tensor:
-    """Batch normalization of an NCHW input over all axes except the channel axis.
+    """Batch normalization of a channel-major (C, N, H, W) input over all axes but C.
 
-    Train mode normalizes by the batch statistics and records them in `state`,
-    as one graph node with the closed-form backward gx = gamma/sigma * (g -
-    mean(g) - xhat * mean(g * xhat)). The node keeps only per-channel
-    constants (mean, 1/sigma, scale); its backward recomputes x - mean from
-    ``x.data``. Eval mode is inference: a per-channel scale and shift by the
-    running statistics, with no graph node. It raises ``StateError`` while a
-    graph records an input that needs a gradient.
+    Each channel's N*H*W values are one contiguous row, so every statistic is a
+    reduction along rows. Train mode normalizes by the batch statistics and
+    records them in `state`, as one graph node with the closed-form backward
+    gx = gamma/sigma * (g - mean(g) - xhat * mean(g * xhat)). The node keeps
+    only per-channel constants (mean, 1/sigma, scale); its backward recomputes
+    x - mean from ``x.data``. Eval mode is inference: a per-channel scale and
+    shift by the running statistics, with no graph node. It raises
+    ``StateError`` while a graph records an input that needs a gradient.
     """
     if x.ndim != 4:
-        raise ShapeError(f"batchnorm expects 4-D (NCHW) input, got {x.shape}")
-    axes, cshape = (0, 2, 3), (1, -1, 1, 1)
-
-    xd, gam = x.data, gamma.data.reshape(cshape)
+        raise ShapeError(f"batchnorm expects 4-D (C, N, H, W) input, got {x.shape}")
+    xdata, shape, c = x.data, x.shape, x.shape[0]
+    xd, gam = xdata.reshape(c, -1), gamma.data.reshape(c, 1)
     if mode == "train":
-        mu = xd.mean(axis=axes, keepdims=True)
+        mu = xd.mean(axis=1, keepdims=True)
         out_data = xd - mu  # x - mean, scaled and shifted into the output in place
-        var = (out_data * out_data).mean(axis=axes, keepdims=True)
+        var = (out_data * out_data).mean(axis=1, keepdims=True)
         state.update(mu.reshape(-1), var.reshape(-1))
         inv_std = (var + state.eps) ** -0.5
         scale = gam * inv_std
         out_data *= scale
-        out_data += beta.data.reshape(cshape)
-        count, gshape, bshape = x.size // gamma.size, gamma.shape, beta.shape
+        out_data += beta.data.reshape(c, 1)
+        count, gshape, bshape = xd.shape[1], gamma.shape, beta.shape
 
         def backward(g):
             # with xhat = xc * inv_std: sum(g * xhat) = inv_std * sum(g * xc)
-            xc = xd - mu
-            gbeta = g.sum(axis=axes, keepdims=True)
-            gxc = (g * xc).sum(axis=axes, keepdims=True)
+            g = g.reshape(c, -1)
+            xc = xdata.reshape(c, -1) - mu
+            gbeta = g.sum(axis=1, keepdims=True)
+            gxc = (g * xc).sum(axis=1, keepdims=True)
             gx = xc * (-inv_std * inv_std * gxc / count)
             gx += g
             gx -= gbeta / count
             gx *= scale
-            return gx, (gxc * inv_std).reshape(gshape), gbeta.reshape(bshape)
+            return gx.reshape(shape), (gxc * inv_std).reshape(gshape), gbeta.reshape(bshape)
 
-        return Tensor._make(out_data, (x, gamma, beta), backward)
+        return Tensor._make(out_data.reshape(shape), (x, gamma, beta), backward)
     if mode == "eval":
         if not state.initialized:
             raise StateError("batchnorm eval mode before any statistics were recorded")
         if _recording and (x.requires_grad or gamma.requires_grad or beta.requires_grad):
             raise StateError("batchnorm eval mode is inference: run it under no_grad")
-        scale = gam * (state.running_var.reshape(cshape) + state.eps) ** -0.5
+        scale = gam * (state.running_var.reshape(c, 1) + state.eps) ** -0.5
         out_data = xd * scale
-        out_data += beta.data.reshape(cshape) - state.running_mean.reshape(cshape) * scale
-        return Tensor(out_data)
+        out_data += beta.data.reshape(c, 1) - state.running_mean.reshape(c, 1) * scale
+        return Tensor(out_data.reshape(shape))
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 

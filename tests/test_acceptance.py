@@ -164,7 +164,7 @@ def test_criterion_4_gradient_suite():
 
     # conv2d
     x, w = t64((1, 2, 5, 5)), t64((3, 2, 3, 3))
-    rep = grad_check(lambda x, w: conv2d(x, w, (1, 1), (1, 1)).sum(), [x, w])
+    rep = grad_check(lambda x, w: conv2d(x.transpose(1, 0, 2, 3), w, (1, 1), (1, 1)).sum(), [x, w])
     assert rep["max_rel_error"] < 1e-4
 
     # maxpool (distinct values so the argmax is stable under the FD step)
@@ -174,12 +174,14 @@ def test_criterion_4_gradient_suite():
     assert rep["max_rel_error"] < 1e-4
 
     # batchnorm in train mode, on NCHW input with 1x1 maps (the same draws as
-    # a (4, 3) batch); a fixed probe keeps the loss sensitive to x
+    # a (4, 3) batch), handed to it channel-major; a fixed probe keeps the loss
+    # sensitive to x
     probe = Tensor(rng.normal(size=(4, 3, 1, 1)))
     xb, g, b = t64((4, 3, 1, 1)), t64(3), t64(3)
     state = BatchNormState(3, dtype=np.float64)
     rep = grad_check(
-        lambda x, g, b: (batchnorm(x, g, b, state, mode="train") * probe).sum(),
+        lambda x, g, b: (batchnorm(x.transpose(1, 0, 2, 3), g, b, state, mode="train").transpose(1, 0, 2, 3)
+                         * probe).sum(),
         [xb, g, b])
     assert rep["max_rel_error"] < 1e-4
 

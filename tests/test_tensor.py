@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 from strforge import checkpoint as ckpt
 from strforge import tensor as tc
 from strforge.tensor import Tensor, grad_check
+from test_kernels_generated import CHUNK_BOUND, rel_err
 
 
 def rand(shape, seed=0, scale=1.0):
     return np.random.default_rng(seed).normal(0, scale, shape)
+
+
+def cnhw(a):
+    """An NCHW array or Tensor in the kernels' channel-major (C, N, H, W) order, and back."""
+    return a.transpose(1, 0, 2, 3)
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -221,15 +227,16 @@ class TestNoGrad:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv2d_patches_in_chunks_match_the_recorded_forward(self, monkeypatch, xs, ws,
                                                                  stride, padding, dtype):
-        # the output and both gradients are bit-identical whether the patches
-        # come one image, two images or the whole batch at a time, and the
-        # graph-free output equals the recorded one
+        # the output and both gradients agree within CHUNK_BOUND whether the
+        # patches come one image, two images or the whole batch at a time (BLAS
+        # blocks each chunk's GEMM by its width, so the bits may differ), and the
+        # graph-free output equals the recorded one bit for bit
         (sh, sw), (ph, pw) = stride, padding
         ho = tc.conv_output_size(xs[2], ws[2], sh, ph)
         wo = tc.conv_output_size(xs[3], ws[3], sw, pw)
         per_image = ws[1] * ws[2] * ws[3] * ho * wo * np.dtype(dtype).itemsize
-        x0, w0 = rand((5,) + xs[1:], 1), rand(ws, 2)
-        g = rand((5, ws[0], ho, wo), 3).astype(dtype)
+        x0, w0 = np.ascontiguousarray(cnhw(rand((5,) + xs[1:], 1))), rand(ws, 2)
+        g = cnhw(rand((5, ws[0], ho, wo), 3)).astype(dtype)
         runs = []
         for budget in (1, 2 * per_image, 5 * per_image):
             monkeypatch.setattr(tc, "_COL_CHUNK_BYTES", budget)
@@ -243,14 +250,14 @@ class TestNoGrad:
             runs.append((out.data, x.grad, w.grad))
         for run in runs[1:]:
             for want, got in zip(runs[0], run):
-                assert got.dtype == dtype and np.array_equal(got, want)
+                assert got.dtype == dtype and rel_err(got, want) <= CHUNK_BOUND[dtype]
 
     def test_conv2d_patch_transient_does_not_grow_with_the_batch(self):
         # beside its output, a forward holds one chunk's patches and the padded
         # chunk they are lowered from, each at most _COL_CHUNK_BYTES here
-        x = Tensor(rand((64, 8, 32, 32), 1), requires_grad=True)
+        x = Tensor(np.ascontiguousarray(cnhw(rand((64, 8, 32, 32), 1))), requires_grad=True)
         w = Tensor(rand((8, 8, 3, 3), 2), requires_grad=True)
-        g = rand((64, 8, 32, 32), 3)
+        g = cnhw(rand((64, 8, 32, 32), 3))
         transient = 2 * tc._COL_CHUNK_BYTES
         whole_col = x.data.nbytes * 9  # every image's patches at once: 36 MiB
         tracemalloc.start()
@@ -278,15 +285,15 @@ class TestNNOps:
         x = Tensor(rand((2, 3, 5, 6), 1), requires_grad=True)
         w = Tensor(rand((4, 3, 3, 3), 2, 0.3), requires_grad=True)
         res = grad_check(
-            lambda xx, ww: tc.relu(tc.conv2d(xx, ww, stride=(1, 1),
+            lambda xx, ww: tc.relu(tc.conv2d(cnhw(xx), ww, stride=(1, 1),
                                              padding=(1, 1))).sum(), [x, w])
         assert res["passed"], res
 
     @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES)
     def test_conv2d_matches_loops(self, xs, ws, stride, padding):
         x, w = rand(xs, 1), rand(ws, 2)
-        out = tc.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
-        assert np.allclose(out.data, naive_conv2d(x, w, stride, padding), rtol=0, atol=1e-12)
+        out = tc.conv2d(Tensor(cnhw(x)), Tensor(w), stride=stride, padding=padding)
+        assert np.allclose(cnhw(out.data), naive_conv2d(x, w, stride, padding), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES[1:])  # [0]: test_conv2d_grad
     def test_conv2d_grad_on_backbone_shapes(self, xs, ws, stride, padding):
@@ -294,7 +301,7 @@ class TestNNOps:
         w = Tensor(rand(ws, 2, 0.3), requires_grad=True)
         probe = rand(naive_conv2d(x.data, w.data, stride, padding).shape, 3)
         res = grad_check(
-            lambda xx, ww: (tc.conv2d(xx, ww, stride=stride, padding=padding) * probe).sum(),
+            lambda xx, ww: (cnhw(tc.conv2d(cnhw(xx), ww, stride=stride, padding=padding)) * probe).sum(),
             [x, w])
         assert res["passed"], res
 
@@ -369,8 +376,8 @@ class TestNNOps:
     def test_recorded_op_holds_only_its_output(self, op):
         # a recorded node keeps per-channel constants and its input array, not a
         # padded or centred copy of it: its backward rebuilds that from the input
-        x, w = (Tensor(rand(s, i).astype(np.float32), requires_grad=True)
-                for i, s in enumerate([(16, 8, 16, 50), (8, 8, 3, 3)]))
+        x, w = (Tensor(a.astype(np.float32), requires_grad=True)
+                for a in [np.ascontiguousarray(cnhw(rand((16, 8, 16, 50), 0))), rand((8, 8, 3, 3), 1)])
         g, b = (Tensor(np.full(8, v, np.float32), requires_grad=True) for v in (1.0, 0.0))
         tracemalloc.start()
         try:
@@ -382,10 +389,10 @@ class TestNNOps:
         assert held <= out.data.nbytes + 16 * 1024  # measured: 2-3 KiB beyond the output
 
     @pytest.mark.parametrize("produce, consume", [
-        (lambda t: tc.batchnorm(t["x"], t["g"], t["b"], tc.BatchNormState(8), mode="train"),
+        (lambda t: tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), mode="train"),
          lambda mid, t: tc.relu(mid)),
         (lambda t: t["x"] + t["y"], lambda mid, t: tc.relu(mid)),
-        (lambda t: tc.conv2d(t["x"], t["w"], padding=(1, 1)), lambda mid, t: mid + t["b"].reshape(1, -1, 1, 1)),
+        (lambda t: tc.conv2d(cnhw(t["x"]), t["w"], padding=(1, 1)), lambda mid, t: mid + t["b"].reshape(-1, 1, 1, 1)),
         (lambda t: tc.matmul(t["x"], t["m"]), lambda mid, t: mid + t["b"]),
     ], ids=["batchnorm-relu", "add-relu", "conv2d-bias", "matmul-bias"])
     def test_an_output_no_backward_reads_is_freed_with_its_tensor(self, produce, consume):
@@ -418,7 +425,7 @@ class TestNNOps:
         def f(xx, gg, bb):
             # .sum() alone is constant under normalization; probe breaks the symmetry
             state = tc.BatchNormState(3)
-            return (tc.batchnorm(xx, gg, bb, state, mode="train") * probe).sum()
+            return (cnhw(tc.batchnorm(cnhw(xx), gg, bb, state, mode="train")) * probe).sum()
 
         res = grad_check(f, [x, g, b], tol=1e-3)
         assert res["passed"], res
@@ -432,17 +439,17 @@ class TestNNOps:
         for needs in range(3):
             x, g, b = (Tensor(a, requires_grad=i == needs) for i, a in enumerate(data))
             with pytest.raises(tc.StateError, match="no_grad"):
-                tc.batchnorm(x, g, b, state, mode="eval")
+                tc.batchnorm(cnhw(x), g, b, state, mode="eval")
             with tc.no_grad():
-                out = tc.batchnorm(x, g, b, state, mode="eval")
+                out = tc.batchnorm(cnhw(x), g, b, state, mode="eval")
             assert not out.requires_grad and out._node is None
         # outside a recording graph it needs no no_grad: constants record nothing
         c = (1, -1, 1, 1)
         want = ((data[0] - state.running_mean.reshape(c))
                 / np.sqrt(state.running_var.reshape(c) + state.eps)
                 * data[1].reshape(c) + data[2].reshape(c))
-        out = tc.batchnorm(*(Tensor(a) for a in data), state, mode="eval")
-        assert np.allclose(out.data, want)
+        out = tc.batchnorm(cnhw(Tensor(data[0])), Tensor(data[1]), Tensor(data[2]), state, mode="eval")
+        assert np.allclose(cnhw(out.data), want)
 
     @pytest.mark.parametrize("shape", [(6, 3), (6, 3, 4), (2, 6, 3, 4, 1)])
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -458,7 +465,7 @@ class TestNNOps:
         state = tc.BatchNormState(2)
         g = Tensor(np.ones(2))
         b = Tensor(np.zeros(2))
-        x = Tensor(rand((8, 2, 3, 3), 7))
+        x = cnhw(Tensor(rand((8, 2, 3, 3), 7)))
         for _ in range(50):
             tc.batchnorm(x, g, b, state, mode="train")
         out = tc.batchnorm(x, g, b, state, mode="eval")
