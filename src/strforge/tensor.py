@@ -25,12 +25,15 @@ Feature maps are channel-major: ``conv2d``, ``maxpool2d``, ``batchnorm`` and
 ``relu`` take and give (C, N, H, W) arrays, with OIHW conv weights;
 ``bilinear_sample`` takes NCHW (at C = 1 the same memory). ``conv2d`` runs one
 kernel, a chunked im2col correlation with one GEMM per chunk of images, for the
-forward and the input gradient, and one GEMM per chunk for the weight gradient.
-Chunk budgets agree to 1e-12 relative in float64, not bit for bit.
+forward and the input gradient. The input gradient's patches Gcol of the output
+gradient give the weight gradient too, gW[o, c, i, j] = sum over (n, y, x) of
+Gcol[(o, kh-1-i, kw-1-j), (n, y, x)] * x[c, n, y, x], chunked by Gcol's budget; an
+input that needs no gradient gives it from its own patches. Chunk budgets agree to
+1e-12 relative in float64, not bit for bit.
 
 A node keeps only what its backward reads: its closure captures arrays,
 shapes and ``requires_grad`` flags, never a Tensor, and it keeps no copy
-derived from its input (``conv2d`` pads each chunk anew, ``batchnorm``
+derived from its input (``conv2d`` reads its input again, ``batchnorm``
 recomputes x - mean, a padded ``maxpool2d`` pads again). So a result's data
 lives only as long as its caller or a backward holds it: a batch-norm output
 that only a ReLU or an add consumes is freed during the forward. A backward
@@ -422,29 +425,32 @@ def _patches(x, kh, kw, sh, sw, ph, pw):
         yield slice(a, a + step), win.reshape(c * kh * kw, -1)
 
 
-def _correlate(x, w, sh, sw, ph=0, pw=0):
+def _correlate(x, w, sh, sw, ph=0, pw=0, y=None):
     """Cross-correlation of a (C, N, H, W) input, framed by `ph`, `pw` zeros, with OIHW
     weights: one GEMM ``W @ patches`` per chunk of ``_patches``, written straight into
-    the (Cout, N, Ho, Wo) output, so no padded copy of the whole batch exists. A chunk's
-    GEMM sums over C*kh*kw alone, but BLAS blocks it by the chunk's width, so chunk
-    budgets agree to rounding (1e-12 relative in float64), not bit for bit."""
+    the (Cout, N, Ho, Wo) output; with a (Cy, N, Ho, Wo) `y`, also the (C*kh*kw, Cy) sum
+    of patches @ y_chunk^T (else None). BLAS blocks each GEMM by the chunk's width, so
+    chunk budgets agree to rounding (1e-12 relative in float64), not bit for bit."""
     c_out, c, kh, kw = w.shape
     ho, wo = (x.shape[2] + 2 * ph - kh) // sh + 1, (x.shape[3] + 2 * pw - kw) // sw + 1
     wmat = w.reshape(c_out, -1)
     out = np.empty((c_out, x.shape[1], ho, wo), dtype=np.result_type(wmat, x))
+    r = None if y is None else np.zeros((c * kh * kw, len(y)), dtype=out.dtype)
     for s, col in _patches(x, kh, kw, sh, sw, ph, pw):
         np.matmul(wmat, col, out=out[:, s].reshape(c_out, -1))
-    return out
+        if y is not None:
+            r += col @ y[:, s].reshape(len(y), -1).T
+    return out, r
 
 
 def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation of a channel-major (C, N, H, W) input with OIHW weights,
-    giving (Cout, N, Ho, Wo). The forward and the input gradient run one chunked
-    im2col product, ``_correlate``; the weight gradient is one GEMM per chunk, g @
-    patches^T, over the patches rebuilt from ``x.data``, so the graph keeps no copy
-    of the input. The input gradient correlates, at stride 1, the flipped,
-    channel-swapped kernel with the output gradient dilated by the stride and framed
-    by kernel-1-padding zeros (cropped where negative)."""
+    giving (Cout, N, Ho, Wo), by one chunked im2col product, ``_correlate``, which the
+    input gradient runs at stride 1: the flipped, channel-swapped kernel with the output
+    gradient dilated by the stride and framed by kernel-1-padding zeros (cropped where
+    negative). That pass's patches Gcol, chunks within ``_COL_CHUNK_BYTES``, also give
+    gW[o, c, i, j] = sum of Gcol[(o, kh-1-i, kw-1-j)] * x[c] (outputs fit exactly, so at
+    any stride and padding); an input needing no gradient gives gW = g @ x.data's patches^T."""
     if x.ndim != 4 or weight.ndim != 4 or x.shape[0] != weight.shape[1]:
         raise ShapeError(f"conv2d expects (C, N, H, W) input, OIHW weight, equal C; got {x.shape}, {weight.shape}")
     (sh, sw), (ph, pw) = _pair(stride), _pair(padding)
@@ -458,11 +464,6 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
 
     def backward(g):
         gw = gx = None
-        if need_w:
-            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
-            for s, col in _patches(xd, kh, kw, sh, sw, ph, pw):
-                gw += g[:, s].reshape(c_out, -1) @ col.T
-            gw = gw.reshape(wd.shape)
         if need_x:
             gd = g
             if sh > 1 or sw > 1:
@@ -472,10 +473,17 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
             ch, cw = max(-qh, 0), max(-qw, 0)
             gd = gd[..., ch:gd.shape[2] - ch, cw:gd.shape[3] - cw]
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx = _correlate(gd, flipped, 1, 1, max(qh, 0), max(qw, 0))
+            gx, r = _correlate(gd, flipped, 1, 1, max(qh, 0), max(qw, 0), xd if need_w else None)
+            if need_w:  # r's rows are Gcol's (o, kh-1-i, kw-1-j): flip them into OIHW
+                gw = r.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        elif need_w:  # a first conv on raw images: patches of its few input channels
+            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
+            for s, col in _patches(xd, kh, kw, sh, sw, ph, pw):
+                gw += g[:, s].reshape(c_out, -1) @ col.T
+            gw = gw.reshape(wd.shape)
         return gx, gw
 
-    return Tensor._make(_correlate(xd, wd, sh, sw, ph, pw), (x, weight), backward)
+    return Tensor._make(_correlate(xd, wd, sh, sw, ph, pw)[0], (x, weight), backward)
 
 
 def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:

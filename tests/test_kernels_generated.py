@@ -93,11 +93,12 @@ def cases(draw, pooling):
     return (n, c, h, w), c_out, (kh, kw), (sh, sw), (ph, pw), dtype, chunk, draw(st.integers(0, 2 ** 16))
 
 
-def run(op, arrays, g0, dtype, budget):
+def run(op, arrays, g0, dtype, budget, need_x=True):
     """Output and gradients of `op` at one chunk budget; checks the no_grad output's bits.
 
-    `arrays` is the NCHW input, then any weight."""
-    ts = [Tensor(kernel_layout(arrays[0]), requires_grad=True, dtype=dtype)]
+    `arrays` is the NCHW input, then any weight. With `need_x` unset the input needs
+    no gradient, and only the weights' gradients are returned."""
+    ts = [Tensor(kernel_layout(arrays[0]), requires_grad=need_x, dtype=dtype)]
     ts += [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays[1:]]
     saved, tc._COL_CHUNK_BYTES = tc._COL_CHUNK_BYTES, budget
     try:
@@ -109,19 +110,24 @@ def run(op, arrays, g0, dtype, budget):
         tc._COL_CHUNK_BYTES = saved
     assert free.dtype == out.dtype == dtype
     assert np.array_equal(free.data, out.data)
-    return [out.data] + [t.grad for t in ts]
+    assert (ts[0].grad is None) != need_x
+    return [out.data] + [t.grad for t in ts if t.requires_grad]
 
 
-def check_chunk_budgets(op, arrays, g0, dtype, chunk, per_image):
-    drawn = run(op, arrays, g0, dtype, chunk * per_image)
-    whole = run(op, arrays, g0, dtype, len(arrays[0]) * per_image)
+def check_chunk_budgets(op, arrays, g0, dtype, chunk, per_image, need_x=True):
+    drawn = run(op, arrays, g0, dtype, chunk * per_image, need_x)
+    whole = run(op, arrays, g0, dtype, len(arrays[0]) * per_image, need_x)
+    assert len(drawn) == len(whole) == len(arrays) + need_x
     for got, want in zip(drawn, whole):
         assert got.dtype == dtype and rel_err(got, want) <= CHUNK_BOUND[dtype]
 
 
-@given(cases(pooling=False))
+@given(cases(pooling=False), st.booleans())
 @settings(max_examples=100, **EXAMPLES)
-def test_conv2d_on_drawn_shapes(case):
+def test_conv2d_on_drawn_shapes(case, need_x):
+    # both backward branches: with an input gradient, the weight gradient comes
+    # from the output gradient's patches; without one (a first conv on raw
+    # images), from the input's
     xs, c_out, kernel, stride, padding, dtype, chunk, seed = case
     rng = np.random.default_rng(seed)
     x0, w0 = rng.normal(size=xs), rng.normal(size=(c_out, xs[1], *kernel))
@@ -134,11 +140,14 @@ def test_conv2d_on_drawn_shapes(case):
     out = op(Tensor(kernel_layout(x0)), Tensor(w0))
     assert rel_err(nchw(out.data), want) <= 1e-12
     probe = kernel_layout(g0)
-    x, w = Tensor(kernel_layout(x0), requires_grad=True), Tensor(w0, requires_grad=True)
-    res = grad_check(lambda xx, ww: (op(xx, ww) * probe).sum(), [x, w])
+    x, w = Tensor(kernel_layout(x0), requires_grad=need_x), Tensor(w0, requires_grad=True)
+    if need_x:
+        res = grad_check(lambda xx, ww: (op(xx, ww) * probe).sum(), [x, w])
+    else:
+        res = grad_check(lambda ww: (op(x, ww) * probe).sum(), [w])
     assert res["passed"], res
     per_image = xs[1] * kernel[0] * kernel[1] * want.shape[2] * want.shape[3] * np.dtype(dtype).itemsize
-    check_chunk_budgets(op, [x0, w0], g0, dtype, chunk, per_image)
+    check_chunk_budgets(op, [x0, w0], g0, dtype, chunk, per_image, need_x)
 
 
 @given(cases(pooling=True))

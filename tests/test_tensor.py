@@ -279,6 +279,31 @@ class TestNoGrad:
         assert backward_peak < whole_col
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
+    @pytest.mark.parametrize("need_x", [True, False])
+    def test_conv2d_backward_lowers_one_array(self, monkeypatch, need_x):
+        # the forward builds the input's patches once; the backward builds the
+        # output gradient's once and takes both gradients from them, or, when
+        # the input needs no gradient, builds the input's once for the weight's
+        passes = []
+        patches = tc._patches
+
+        def spy(a, *args):
+            passes.append(a)
+            return patches(a, *args)
+
+        monkeypatch.setattr(tc, "_patches", spy)
+        x = Tensor(np.ascontiguousarray(cnhw(rand((4, 3, 7, 6), 1))), requires_grad=need_x)
+        w = Tensor(rand((5, 3, 3, 3), 2), requires_grad=True)
+        out = tc.conv2d(x, w, stride=(2, 1), padding=(1, 1))
+        assert len(passes) == 1 and passes[0] is x.data
+        out.backward(rand(out.shape, 3))
+        assert len(passes) == 2
+        if need_x:
+            assert passes[1].shape[0] == 5 and x.grad.shape == x.shape  # Cout rows
+        else:
+            assert passes[1] is x.data and x.grad is None
+        assert w.grad.shape == w.shape
+
 
 class TestNNOps:
     def test_conv2d_grad(self):
