@@ -38,15 +38,23 @@ def save_params(path, params, extra=None):
 
 
 def load_params(path):
-    """Read a container; returns (dict of float32 arrays, extra header dict)."""
+    """Read a container; returns (dict of float32 arrays, extra header dict).
+
+    Raises ValueError naming the fault for a truncated or malformed container."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValueError(f"not a parameter container: bad magic {magic!r}")
-        hlen = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        hlen = fh.read(4)
+        hbytes = fh.read(int.from_bytes(hlen, "little"))
+        if len(hlen) < 4 or len(hbytes) < int.from_bytes(hlen, "little"):
+            raise ValueError("truncated container: it ends inside its header")
+        header = json.loads(hbytes.decode("utf-8"))
         payload = fh.read()
-    expected = 4 * sum(int(np.prod(e["shape"])) for e in header["params"].values())
+    params = header.get("params") if isinstance(header, dict) else None
+    if not isinstance(params, dict):
+        raise ValueError("container header is not a JSON object with a 'params' object")
+    expected = 4 * sum(int(np.prod(e["shape"])) for e in params.values())
     if len(payload) != expected:
         raise ValueError(f"payload is {len(payload)} bytes; the header's arrays "
                          f"take {expected}")
@@ -54,7 +62,7 @@ def load_params(path):
     if crc != header.get("crc32"):
         raise ValueError(f"payload CRC-32 {crc} differs from the header's {header.get('crc32')}")
     out = {}
-    for name, entry in header["params"].items():
+    for name, entry in params.items():
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]

@@ -32,11 +32,18 @@ input that needs no gradient gives it from its own patches. Chunk budgets agree 
 1e-12 relative in float64, not bit for bit.
 
 A node keeps only what its backward reads: its closure captures arrays,
-shapes and ``requires_grad`` flags, never a Tensor, and it keeps no copy
-derived from its input (``conv2d`` reads its input again, ``batchnorm``
-recomputes x - mean, a padded ``maxpool2d`` pads again). So a result's data
-lives only as long as its caller or a backward holds it: a batch-norm output
-that only a ReLU or an add consumes is freed during the forward. A backward
+shapes, ``requires_grad`` flags and rebuild functions, never a Tensor, and it
+keeps no copy derived from its input (``conv2d`` reads its input again,
+``batchnorm`` recomputes x - mean, a padded ``maxpool2d`` pads again). A
+recorded train-mode ``batchnorm`` result carries a rebuild, which replays the
+forward's (x - mean) * scale + beta from the input its node holds, and a
+``relu`` of a result with a rebuild keeps that rebuild for its mask and
+carries max(rebuild(), 0). ``conv2d`` and ``maxpool2d`` keep their input's
+rebuild in place of its data and call it in their backward. A rebuild runs the
+forward's ops in the forward's order, so it gives the forward's bits. So a
+result's data lives only as long as its caller or a backward holds it: a
+batch-norm output that only a ReLU or an add consumes, and a batch-norm ReLU
+that only convs and pools consume, are freed during the forward. A backward
 reads the arrays it captured, so nothing may write a recorded array in place
 before ``backward`` has run.
 """
@@ -112,13 +119,14 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None  # set on a recorded result; a leaf is its own link
+        self._rebuild = None  # set on a recorded result a backward may replay instead of holding
 
     # -- basic introspection -------------------------------------------------
 
@@ -155,7 +163,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.requires_grad = _recording and any(p.requires_grad for p in parents)
-        out.grad = None
+        out.grad = out._rebuild = None
         out._node = _Node(tuple((p._node or p) if p.requires_grad else None for p in parents),
                           backward) if out.requires_grad else None
         return out
@@ -322,12 +330,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0)
+    """max(x, 0). Of an input with a rebuild, the node keeps that rebuild for its mask,
+    not the output, and the result's rebuild is max(rebuild(), 0)."""
+    out_data, src = np.maximum(x.data, 0), x._rebuild
+    mask = (lambda: src() > 0) if src else (lambda: out_data > 0)
 
     def backward(g):
-        return (g * (out_data > 0),)
+        return (g * mask(),)
 
-    return Tensor._make(out_data, (x,), backward)
+    out = Tensor._make(out_data, (x,), backward)
+    if src and out.requires_grad:
+        out._rebuild = lambda: np.maximum(src(), 0)
+    return out
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -409,20 +423,24 @@ def _patches(x, kh, kw, sh, sw, ph, pw):
     """The im2col patches of a (C, N, H, W) input framed by `ph`, `pw` zeros, by chunks
     of images: yields (image slice, (C*kh*kw, n*Ho*Wo) patches) with at most
     ``_COL_CHUNK_BYTES`` of patches a chunk. Each chunk is padded as its patches are
-    built, one copy of the strided window view; an unpadded 1x1 stride-1 kernel has
-    one chunk, the whole activation itself."""
+    built, one copy of the strided window view into a buffer the call allocates once
+    and every chunk reuses: a chunk's patches are valid only until the next chunk is
+    requested. An unpadded 1x1 stride-1 kernel has one chunk, the whole activation itself."""
     c, n, h, w = x.shape
     if kh == kw == sh == sw == 1 and not (ph or pw):
         yield slice(None), x.reshape(c, -1)
         return
     ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
     step = max(1, _COL_CHUNK_BYTES // (c * kh * kw * ho * wo * x.itemsize))
+    buf = np.empty(c * kh * kw * min(step, n) * ho * wo, dtype=x.dtype)
     for a in range(0, n, step):
         xp = _pad(x[:, a:a + step], ph, pw)
         st = xp.strides
         win = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, xp.shape[1], ho, wo),
                                               (st[0], st[2], st[3], st[1], st[2] * sh, st[3] * sw))
-        yield slice(a, a + step), win.reshape(c * kh * kw, -1)
+        col = buf[:win.size].reshape(win.shape)  # a prefix: C-contiguous at any chunk size
+        np.copyto(col, win)
+        yield slice(a, a + step), col.reshape(c * kh * kw, -1)
 
 
 def _correlate(x, w, sh, sw, ph=0, pw=0, y=None):
@@ -461,6 +479,7 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
     ho, wo = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
 
     xd, wd, need_x, need_w = x.data, weight.data, x.requires_grad, weight.requires_grad
+    x_of = x._rebuild or (lambda: xd)
 
     def backward(g):
         gw = gx = None
@@ -473,12 +492,12 @@ def conv2d(x: Tensor, weight: Tensor, stride=(1, 1), padding=(0, 0)) -> Tensor:
             ch, cw = max(-qh, 0), max(-qw, 0)
             gd = gd[..., ch:gd.shape[2] - ch, cw:gd.shape[3] - cw]
             flipped = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            gx, r = _correlate(gd, flipped, 1, 1, max(qh, 0), max(qw, 0), xd if need_w else None)
+            gx, r = _correlate(gd, flipped, 1, 1, max(qh, 0), max(qw, 0), x_of() if need_w else None)
             if need_w:  # r's rows are Gcol's (o, kh-1-i, kw-1-j): flip them into OIHW
                 gw = r.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         elif need_w:  # a first conv on raw images: patches of its few input channels
             gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
-            for s, col in _patches(xd, kh, kw, sh, sw, ph, pw):
+            for s, col in _patches(x_of(), kh, kw, sh, sw, ph, pw):
                 gw += g[:, s].reshape(c_out, -1) @ col.T
             gw = gw.reshape(wd.shape)
         return gx, gw
@@ -494,9 +513,10 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     Output size floors when the last window does not fit (trailing rows or
     columns are dropped, as is conventional for pooling). The forward is a
     running maximum over the kh*kw strided kernel-cell views; the backward
-    pads ``x.data`` again (the graph keeps no padded copy) and gives each
-    output's gradient to the first cell, in row-major order, that equals the
-    maximum. A NaN in a window makes it NaN and drops its gradient.
+    pads the input, or its rebuild, again (the graph keeps no padded copy)
+    and gives each output's gradient to the first cell, in row-major order,
+    that equals the maximum. A NaN in a window makes it NaN and drops its
+    gradient.
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride if stride is not None else kernel)
@@ -506,6 +526,7 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     wo = conv_output_size(w, kw, sw, pw, floor=True)
 
     xd = x.data
+    x_of = x._rebuild or (lambda: xd)
     xp = _pad(xd, ph, pw, -np.inf)
     cells = [(..., slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
              for i in range(kh) for j in range(kw)]
@@ -514,7 +535,7 @@ def maxpool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
         np.maximum(xp[cell], out_data, out=out_data)  # a tie keeps out_data, the earlier cell
 
     def backward(g):
-        xp = _pad(xd, ph, pw, -np.inf)
+        xp = _pad(x_of(), ph, pw, -np.inf)
         gxp = np.zeros_like(xp)
         free = np.ones(out_data.shape, dtype=bool)  # outputs whose gradient is unclaimed
         for cell in cells:
@@ -666,7 +687,18 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             gx *= scale
             return gx.reshape(shape), (gxc * inv_std).reshape(gshape), gbeta.reshape(bshape)
 
-        return Tensor._make(out_data.reshape(shape), (x, gamma, beta), backward)
+        out = Tensor._make(out_data.reshape(shape), (x, gamma, beta), backward)
+        if out.requires_grad:
+            bd = beta.data.reshape(c, 1)
+
+            def rebuild():  # the forward's op order, so the forward's bits
+                y = xdata.reshape(c, -1) - mu
+                y *= scale
+                y += bd
+                return y.reshape(shape)
+
+            out._rebuild = rebuild
+        return out
     if mode == "eval":
         if not state.initialized:
             raise StateError("batchnorm eval mode before any statistics were recorded")

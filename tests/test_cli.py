@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import strforge.cli as cli
+from strforge.checkpoint import MAGIC
 from strforge.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from strforge.pipeline import PipelineConfig, assemble
 from strforge.tensor import Tensor
@@ -126,6 +127,15 @@ def test_missing_file_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_magic_only_checkpoint_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "magic.bin"
+    path.write_bytes(MAGIC)
+    code = main(["eval", "--checkpoint", str(path), "--val-size", "4", "--out", str(tmp_path / "ev")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "data error" in err
 
 
 def test_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):

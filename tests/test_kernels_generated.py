@@ -1,5 +1,7 @@
 """Generated oracles for the feature-map kernels: conv2d, maxpool2d, batchnorm
-and bilinear_sample on drawn shapes, strides, paddings, dtypes and chunk budgets.
+and bilinear_sample on drawn shapes, strides, paddings, dtypes and chunk budgets,
+and conv -> batchnorm -> relu chains whose conv2d or maxpool2d consumer rebuilds
+the ReLU output in its backward.
 
 Shapes are drawn per axis: N 1-5, C 1-6, H and W 1-12, kernel 1-3, stride
 1-3. Pool padding is 0..kernel-1; conv padding goes one further, to the
@@ -167,6 +169,41 @@ def test_maxpool2d_on_drawn_shapes(case):
     res = grad_check(lambda xx: (op(xx) * probe).sum(), [Tensor(kernel_layout(x0), requires_grad=True)])
     assert res["passed"], res
     check_chunk_budgets(op, [x0], g0, dtype, chunk, 1)
+
+
+@given(cases(pooling=False), st.booleans())
+@settings(max_examples=40, **EXAMPLES)
+def test_batchnorm_relu_rebuilt_by_conv2d_and_maxpool2d(case, pool):
+    # a drawn conv, train-mode batch norm and ReLU, then a padded 3x3 conv or 2x2
+    # pool: the consumer keeps the ReLU's rebuild, not its output. The gradients
+    # pass grad_check, and at the drawn chunk budget they are the bits of the
+    # chain whose ReLU output is held (routed through + 0.0)
+    xs, c_out, kernel, stride, padding, dtype, chunk, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=xs), rng.normal(size=(c_out, xs[1], *kernel)),
+              rng.uniform(0.5, 1.5, c_out), rng.normal(size=c_out)]
+    arrays += [] if pool else [rng.normal(size=(2, c_out, 3, 3))]
+
+    def chain(held):
+        def op(x, w, gamma, beta, *w2):
+            h = tc.conv2d(x, w, stride, padding)
+            h = tc.relu(tc.batchnorm(h, gamma, beta, tc.BatchNormState(c_out), mode="train"))
+            h = h + 0.0 if held else h
+            return tc.maxpool2d(h, (2, 2), (2, 1), (1, 1)) if pool else tc.conv2d(h, w2[0], (1, 1), (1, 1))
+        return op
+
+    ts = [Tensor(kernel_layout(arrays[0]), requires_grad=True)]
+    ts += [Tensor(a, requires_grad=True) for a in arrays[1:]]
+    probe = rng.normal(size=chain(False)(*ts).shape)
+    res = grad_check(lambda *tt: (chain(False)(*tt) * probe).sum(), ts)
+    assert res["passed"], res
+    g0 = nchw(probe)
+    ho, wo = ((s + 2 * p - k) // s_ + 1 for s, k, s_, p in zip(xs[2:], kernel, stride, padding))
+    per_image = xs[1] * kernel[0] * kernel[1] * ho * wo * np.dtype(dtype).itemsize
+    rebuilt, held = (run(chain(h), arrays, g0, dtype, chunk * per_image) for h in (False, True))
+    for got, want in zip(rebuilt, held):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    check_chunk_budgets(chain(False), arrays, g0, dtype, chunk, per_image)
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 16))

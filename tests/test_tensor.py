@@ -419,11 +419,17 @@ class TestNNOps:
         (lambda t: t["x"] + t["y"], lambda mid, t: tc.relu(mid)),
         (lambda t: tc.conv2d(cnhw(t["x"]), t["w"], padding=(1, 1)), lambda mid, t: mid + t["b"].reshape(-1, 1, 1, 1)),
         (lambda t: tc.matmul(t["x"], t["m"]), lambda mid, t: mid + t["b"]),
-    ], ids=["batchnorm-relu", "add-relu", "conv2d-bias", "matmul-bias"])
+        (lambda t: tc.relu(tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), mode="train")),
+         lambda mid, t: tc.conv2d(mid, t["w"], padding=(1, 1))),
+        (lambda t: tc.relu(tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), mode="train")),
+         lambda mid, t: tc.maxpool2d(mid, (2, 2), (2, 1), (1, 0))),
+    ], ids=["batchnorm-relu", "add-relu", "conv2d-bias", "matmul-bias",
+            "batchnorm-relu-conv2d", "batchnorm-relu-maxpool2d"])
     def test_an_output_no_backward_reads_is_freed_with_its_tensor(self, produce, consume):
         # the consumer's node links the producer's node, not its Tensor, and neither
-        # backward reads the producer's output: dropping the Tensor frees the array,
-        # and backward still gives the bits of a run that kept everything
+        # backward reads the producer's output (a conv or pool of a batch-norm ReLU
+        # rebuilds it): dropping the Tensor frees the array, and backward still
+        # gives the bits of a run that kept everything
         shapes = {"x": (2, 8, 5, 6), "y": (2, 8, 5, 6), "w": (8, 8, 3, 3), "m": (6, 8), "g": (8,), "b": (8,)}
 
         def run(keep):
@@ -645,7 +651,24 @@ class TestCheckpoint:
     def test_magic_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a checkpoint")
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError):
+            ckpt.load_params(path)
+
+    def test_every_prefix_of_a_container_is_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        ckpt.save_params(path, {"a": np.ones((2, 3), dtype=np.float32)}, extra={"note": "x"})
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                ckpt.load_params(path)
+
+    @pytest.mark.parametrize("header", [b"[]", b"7", b'{"crc32": 0}', b'{"params": []}',
+                                        b'{"params": 3, "crc32": 0}'])
+    def test_a_header_without_a_params_object_is_rejected(self, tmp_path, header):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(ckpt.MAGIC + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ValueError, match="params"):
             ckpt.load_params(path)
 
 
