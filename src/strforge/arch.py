@@ -348,7 +348,7 @@ class _ConvLayer:
         self.weight = store.new(f"{name}.weight", (cout, cin, *kernel))
         self.bias = store.new(f"{name}.bias", (cout,)) if bias else None
 
-    def forward(self, x, mode):
+    def forward(self, x):
         out = tc.conv2d(x, self.weight, self.stride, self.padding)
         if self.bias is not None:
             out = out + self.bias.reshape(-1, 1, 1, 1)
@@ -361,25 +361,25 @@ class _BNLayer:
         self.beta = store.new(f"{name}.beta", (c,))
         self.state = store.bn_state(name, c)
 
-    def forward(self, x, mode):
-        return tc.batchnorm(x, self.gamma, self.beta, self.state, mode=mode)
+    def forward(self, x, training):
+        return tc.batchnorm(x, self.gamma, self.beta, self.state, training)
 
 
 class _PoolLayer:
     def __init__(self, kernel, stride, padding):
         self.kernel, self.stride, self.padding = kernel, stride, padding
 
-    def forward(self, x, mode):
+    def forward(self, x):
         return tc.maxpool2d(x, self.kernel, self.stride, self.padding)
 
 
 class _ReluLayer:
-    def forward(self, x, mode):
+    def forward(self, x):
         return tc.relu(x)
 
 
 class _APoolLayer:
-    def forward(self, x, mode):
+    def forward(self, x):
         return x.mean(axis=(-2, -1)).T  # (C, N, H, W) -> (N, C)
 
 
@@ -388,7 +388,7 @@ class _FCLayer:
         self.weight = store.new(f"{name}.weight", (n_out, n_in))
         self.bias = store.new(f"{name}.bias", (n_out,))
 
-    def forward(self, x, mode):
+    def forward(self, x):
         if x.ndim > 2:  # (C, N, H, W) -> (N, C*H*W)
             x = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
         return tc.matmul(x, self.weight.T) + self.bias
@@ -414,15 +414,15 @@ class _GRCLLayer:
         self.bn_gf = _BNLayer(store, f"{name}.bn_gf", c)
         self.bn_gr = _BNLayer(store, f"{name}.bn_gr", c)
 
-    def forward(self, u, mode):
-        ff = self.bn_f.forward(tc.conv2d(u, self.wf, (1, 1), self.pad), mode)
+    def forward(self, u, training):
+        ff = self.bn_f.forward(tc.conv2d(u, self.wf, (1, 1), self.pad), training)
         x = tc.relu(ff)
         if self.iterations > 1:
-            gf = self.bn_gf.forward(tc.conv2d(u, self.wgf, (1, 1), (0, 0)), mode)
+            gf = self.bn_gf.forward(tc.conv2d(u, self.wgf, (1, 1), (0, 0)), training)
             for _ in range(self.iterations - 1):
                 gate = tc.sigmoid(gf + self.bn_gr.forward(
-                    tc.conv2d(x, self.wgr, (1, 1), (0, 0)), mode))
-                rec = self.bn_r.forward(tc.conv2d(x, self.wr, (1, 1), self.pad), mode)
+                    tc.conv2d(x, self.wgr, (1, 1), (0, 0)), training))
+                rec = self.bn_r.forward(tc.conv2d(x, self.wr, (1, 1), self.pad), training)
                 x = tc.relu(ff + gate * rec)
         return x
 
@@ -447,15 +447,18 @@ class _ResBlockLayer:
             self.units.append(unit)
             cin = c2
 
-    def forward(self, x, mode):
+    def forward(self, x, training):
         for unit in self.units:
-            h = tc.relu(unit["bn1"].forward(unit["conv1"].forward(x, mode), mode))
-            h = unit["bn2"].forward(unit["conv2"].forward(h, mode), mode)
+            h = tc.relu(unit["bn1"].forward(unit["conv1"].forward(x), training))
+            h = unit["bn2"].forward(unit["conv2"].forward(h), training)
             shortcut = x
             if unit["proj"] is not None:
-                shortcut = unit["bn_proj"].forward(unit["proj"].forward(x, mode), mode)
+                shortcut = unit["bn_proj"].forward(unit["proj"].forward(x), training)
             x = tc.relu(h + shortcut)
         return x
+
+
+_BN_HOLDERS = (_BNLayer, _GRCLLayer, _ResBlockLayer)  # the layers whose forward takes `training`
 
 
 class Net:
@@ -498,7 +501,7 @@ class Net:
             return _ResBlockLayer(store, name, in_shape[0], c1, c2, spec.repeat)
         raise ValueError(f"unknown layer kind {spec.kind!r}")
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, training=True):
         """NCHW images -> NCHW maps, or (N, F) after an FC head.
 
         The layers hold channel-major (C, N, H, W) maps: the entry transpose is
@@ -507,5 +510,5 @@ class Net:
         """
         x = x.transpose(1, 0, 2, 3)
         for layer in self.layers:
-            x = layer.forward(x, mode)
+            x = layer.forward(x, training) if isinstance(layer, _BN_HOLDERS) else layer.forward(x)
         return x.transpose(1, 0, 2, 3) if x.ndim == 4 else x

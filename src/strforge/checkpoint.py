@@ -40,7 +40,8 @@ def save_params(path, params, extra=None):
 def load_params(path):
     """Read a container; returns (dict of float32 arrays, extra header dict).
 
-    Raises ValueError naming the fault for a truncated or malformed container."""
+    Raises ValueError naming the fault for a truncated or malformed container,
+    a header field of the wrong JSON type among them."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -54,6 +55,15 @@ def load_params(path):
     params = header.get("params") if isinstance(header, dict) else None
     if not isinstance(params, dict):
         raise ValueError("container header is not a JSON object with a 'params' object")
+    for name, entry in params.items():
+        if not (isinstance(entry, dict) and type(entry.get("offset")) is int  # not bool
+                and isinstance(entry.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            raise ValueError(f"params entry {name!r} is not an object with an integer "
+                             f"'offset' and a 'shape' list of sizes: {entry!r}")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"container header's 'extra' is not an object: {extra!r}")
     expected = 4 * sum(int(np.prod(e["shape"])) for e in params.values())
     if len(payload) != expected:
         raise ValueError(f"payload is {len(payload)} bytes; the header's arrays "
@@ -68,4 +78,4 @@ def load_params(path):
         start = entry["offset"]
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start).reshape(shape)
         out[name] = arr.copy()
-    return out, header.get("extra", {})
+    return out, extra

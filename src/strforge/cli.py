@@ -129,6 +129,11 @@ def _parse_kv(pairs, what):
 def _checkpoint_config(args):
     """The config a checkpoint's header names; --pipeline and --scale, if given, must agree."""
     _, extra = load_params(args.checkpoint)
+    for key, types, what in (("config", (str,), "string"), ("scale", (int, float), "number"),
+                             ("num_fiducials", (int,), "integer")):
+        if type(extra.get(key)) not in types:  # JSON true and false load as bool, not int
+            raise ValueError(f"checkpoint header field {key!r} is {extra.get(key)!r}, "
+                             f"not a JSON {what}")
     cfg = PipelineConfig.from_string(extra["config"], scale=extra["scale"],
                                      num_fiducials=extra["num_fiducials"], seed=args.seed)
     if args.pipeline is not None and PipelineConfig.from_string(args.pipeline).name != cfg.name:

@@ -171,7 +171,7 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def features(self, x: Tensor, mode: str = "train") -> Tensor:
+    def features(self, x: Tensor, training: bool = True) -> Tensor:
         """Images (B, 1, 32, 100) -> feature sequence (B, I, D).
 
         Images of another dtype are cast to the model's dtype (a constant, no
@@ -180,28 +180,31 @@ class Model:
         if x.dtype != self.dtype:
             x = Tensor(x.data, dtype=self.dtype)
         if self.tps is not None:
-            x = self.tps.forward(x, mode)
-        v = self.feat.forward(x, mode)          # (B, C, 1, W)
+            x = self.tps.forward(x, training)
+        v = self.feat.forward(x, training)      # (B, C, 1, W)
         b, c, h, w = v.shape
         v = v.reshape(b, c, w).transpose(0, 2, 1)  # (B, W, C)
         if self.seq is not None:
             v = self.seq.forward(v)
         return v
 
-    def frame_log_probs(self, x: Tensor, mode: str = "train") -> Tensor:
+    def frame_log_probs(self, x: Tensor, training: bool = True) -> Tensor:
         """CTC head: (B, T, 37) per-frame log-probabilities."""
-        h = self.features(x, mode)
+        h = self.features(x, training)
         b, t, d = h.shape
         logits = matmul(h.reshape(b * t, d), self.ctc_w.T) + self.ctc_b
         return log_softmax(logits, axis=1).reshape(b, t, NUM_CLASSES)
 
     def loss(self, x: Tensor, labels, mode: str = "train") -> Tensor:
-        """Mean negative log-likelihood of the batch; eval mode runs it under ``no_grad``."""
+        """Mean negative log-likelihood; mode "train", or "eval" (inference under ``no_grad``)."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"loss mode must be 'train' or 'eval', got {mode!r}")
+        training = mode == "train"
         encoded = [CODEC.encode(lbl) for lbl in labels]
-        with no_grad() if mode == "eval" else contextlib.nullcontext():
+        with contextlib.nullcontext() if training else no_grad():
             if self.attn is None:
-                return ctc_loss_batch(self.frame_log_probs(x, mode), encoded)
-            return attn_loss_batch(self.features(x, mode), encoded, self.attn)
+                return ctc_loss_batch(self.frame_log_probs(x, training), encoded)
+            return attn_loss_batch(self.features(x, training), encoded, self.attn)
 
     def decode(self, x: Tensor, max_len: int = 25):
         """Greedy predictions for a batch of images, at most max_len characters each.
@@ -211,9 +214,9 @@ class Model:
         """
         with no_grad():
             if self.attn is None:
-                lp = self.frame_log_probs(x, mode="eval")
+                lp = self.frame_log_probs(x, False)
                 return [ctc_greedy_decode(lp.data[i])[:max_len] for i in range(lp.shape[0])]
-            h = self.features(x, mode="eval")
+            h = self.features(x, False)
             return attn_greedy_decode_batch(h, self.attn, max_len=max_len)
 
     # -- checkpointing -------------------------------------------------------
@@ -264,8 +267,10 @@ class AdaDeltaState:
         return self.sq_grad[name], self.sq_delta[name]
 
 
-def adadelta_step(params: dict, grads: dict, state: AdaDeltaState,
-                  rho: float = 0.95, eps: float = 1e-6) -> None:
+ADADELTA_EPS = 1e-6  # AdaDelta's conditioning constant, in both root terms
+
+
+def adadelta_step(params: dict, grads: dict, state: AdaDeltaState, rho: float = 0.95) -> None:
     """One AdaDelta update, in place."""
     for name, p in params.items():
         g = grads.get(name)
@@ -274,7 +279,7 @@ def adadelta_step(params: dict, grads: dict, state: AdaDeltaState,
         eg2, edx2 = state.slots(name, p.shape)
         eg2 *= rho
         eg2 += (1.0 - rho) * np.square(g)
-        dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+        dx = -np.sqrt(edx2 + ADADELTA_EPS) / np.sqrt(eg2 + ADADELTA_EPS) * g
         edx2 *= rho
         edx2 += (1.0 - rho) * np.square(dx)
         p.data[...] = (p.data + dx).astype(p.dtype)
@@ -299,7 +304,6 @@ def clip_gradients(grads: dict, magnitude: float = 5.0) -> float:
 @dataclass
 class TrainRecipe:
     rho: float = 0.95
-    eps: float = 1e-6
     clip: float = 5.0
     batch_size: int = 32
     iterations: int = 3000
@@ -312,12 +316,15 @@ class TrainRecipe:
         for name in ("batch_size", "iterations", "val_interval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        # a clip <= 0 flips or zeroes every update, and a rho outside [0, 1) or
-        # an eps <= 0 can take the root of a negative: usage errors, not runs
+        # a clip <= 0 flips or zeroes every update, a rho outside [0, 1) can take
+        # the root of a negative, and a NaN stop accuracy never stops: usage
+        # errors, not runs
+        stop = self.stop_accuracy
         for name, ok, rule in (("fraction", 0.0 < self.fraction <= 1.0, "in (0, 1]"),
                                ("clip", self.clip > 0.0, "> 0"),
                                ("rho", 0.0 <= self.rho < 1.0, "in [0, 1)"),
-                               ("eps", self.eps > 0.0, "> 0")):
+                               ("stop_accuracy", stop is None or not math.isnan(stop),
+                                "a number")):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
@@ -326,7 +333,6 @@ class TrainRecipe:
 class TrainResult:
     best_step: int
     best_accuracy: float
-    best_state: tuple  # ParamStore.state() of the best step
     log: list = field(default_factory=list)  # rows of (step, loss, val_accuracy)
 
     def log_csv(self) -> str:
@@ -365,7 +371,7 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
 
     Retains the model state (parameters and batch-norm statistics) of the
     highest-validation-accuracy step (earliest step wins ties), leaves the
-    model holding it and returns it with the (step, loss, val_accuracy) log.
+    model holding it and returns that step with the (step, loss, val_accuracy) log.
     `train_set`/`val_set` expose .images and .labels. A non-finite loss or
     pre-clip gradient norm restores that state (the initial one before the
     first validation) and raises FloatingPointError. An empty training or
@@ -396,7 +402,7 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
             model.store.load_state(*best_state)
             raise FloatingPointError(f"non-finite loss {loss.item()} or gradient norm "
                                      f"{norm} at step {it}; best state restored")
-        adadelta_step(params, grads, state, rho=recipe.rho, eps=recipe.eps)
+        adadelta_step(params, grads, state, rho=recipe.rho)
 
         if it % recipe.val_interval == 0 or it == recipe.iterations:
             acc = validate(model, val_set.images, val_set.labels)
@@ -407,8 +413,7 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
             if recipe.stop_accuracy is not None and acc >= recipe.stop_accuracy:
                 break
     model.store.load_state(*best_state)
-    return TrainResult(best_step=best_step, best_accuracy=best_acc,
-                       best_state=best_state, log=log)
+    return TrainResult(best_step=best_step, best_accuracy=best_acc, log=log)
 
 
 def fraction_sweep(cfg: PipelineConfig, recipe: TrainRecipe, fractions,

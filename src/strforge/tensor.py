@@ -19,7 +19,7 @@ Inside a ``with no_grad():`` block every op computes the same values but
 records nothing: its output has ``requires_grad`` unset and no node, so each
 intermediate is freed as soon as nothing refers to it. The block nests and
 restores the previous state on exit, also on an exception. Inference
-(``Model.decode``, eval-mode ``Model.loss``) runs under it.
+(``Model.decode``, ``Model.loss(..., mode="eval")``) runs under it.
 
 Feature maps are channel-major: ``conv2d``, ``maxpool2d``, ``batchnorm`` and
 ``relu`` take and give (C, N, H, W) arrays, with OIHW conv weights;
@@ -35,7 +35,7 @@ A node keeps only what its backward reads: its closure captures arrays,
 shapes, ``requires_grad`` flags and rebuild functions, never a Tensor, and it
 keeps no copy derived from its input (``conv2d`` reads its input again,
 ``batchnorm`` recomputes x - mean, a padded ``maxpool2d`` pads again). A
-recorded train-mode ``batchnorm`` result carries a rebuild, which replays the
+recorded training ``batchnorm`` result carries a rebuild, which replays the
 forward's (x - mean) * scale + beta from the input its node holds, and a
 ``relu`` of a result with a rebuild keeps that rebuild for its mask and
 carries max(rebuild(), 0). ``conv2d`` and ``maxpool2d`` keep their input's
@@ -99,7 +99,8 @@ _recording = True  # cleared inside no_grad(): ops build no graph
 def no_grad():
     """Run ops without recording a graph; the previous state returns on exit.
 
-    ``Model.decode`` and an eval-mode ``Model.loss`` use it; process-wide, not per thread.
+    ``Model.decode`` and ``Model.loss(..., mode="eval")`` use it; process-wide, not per
+    thread. Separate from ``batchnorm``'s ``training`` flag: a training forward may run under it.
     """
     global _recording
     outer, _recording = _recording, False
@@ -648,23 +649,23 @@ class ParamStore:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-              mode: str = "train") -> Tensor:
+              training: bool = True) -> Tensor:
     """Batch normalization of a channel-major (C, N, H, W) input over all axes but C.
 
     Each channel's N*H*W values are one contiguous row, so every statistic is a
-    reduction along rows. Train mode normalizes by the batch statistics and
-    records them in `state`, as one graph node with the closed-form backward
-    gx = gamma/sigma * (g - mean(g) - xhat * mean(g * xhat)). The node keeps
-    only per-channel constants (mean, 1/sigma, scale); its backward recomputes
-    x - mean from ``x.data``. Eval mode is inference: a per-channel scale and
-    shift by the running statistics, with no graph node. It raises
-    ``StateError`` while a graph records an input that needs a gradient.
+    reduction along rows. ``training`` (the model's one train/inference switch,
+    read here only) normalizes by the batch statistics and records them in
+    `state`, as one node with the backward gx = gamma/sigma * (g - mean(g) -
+    xhat * mean(g * xhat)); the node keeps per-channel constants (mean, 1/sigma,
+    scale) and recomputes x - mean from ``x.data``. Else it is inference by the
+    running statistics, a per-channel scale and shift with no node, which raises
+    ``StateError`` while a graph records an input that needs a gradient (``no_grad``).
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects 4-D (C, N, H, W) input, got {x.shape}")
     xdata, shape, c = x.data, x.shape, x.shape[0]
     xd, gam = xdata.reshape(c, -1), gamma.data.reshape(c, 1)
-    if mode == "train":
+    if training:
         mu = xd.mean(axis=1, keepdims=True)
         out_data = xd - mu  # x - mean, scaled and shifted into the output in place
         var = (out_data * out_data).mean(axis=1, keepdims=True)
@@ -699,16 +700,14 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
             out._rebuild = rebuild
         return out
-    if mode == "eval":
-        if not state.initialized:
-            raise StateError("batchnorm eval mode before any statistics were recorded")
-        if _recording and (x.requires_grad or gamma.requires_grad or beta.requires_grad):
-            raise StateError("batchnorm eval mode is inference: run it under no_grad")
-        scale = gam * (state.running_var.reshape(c, 1) + state.eps) ** -0.5
-        out_data = xd * scale
-        out_data += beta.data.reshape(c, 1) - state.running_mean.reshape(c, 1) * scale
-        return Tensor(out_data.reshape(shape))
-    raise ValueError(f"unknown batchnorm mode {mode!r}")
+    if not state.initialized:
+        raise StateError("batchnorm inference before any statistics were recorded")
+    if _recording and (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+        raise StateError("batchnorm inference has no backward: run it under no_grad")
+    scale = gam * (state.running_var.reshape(c, 1) + state.eps) ** -0.5
+    out_data = xd * scale
+    out_data += beta.data.reshape(c, 1) - state.running_mean.reshape(c, 1) * scale
+    return Tensor(out_data.reshape(shape))
 
 
 # -- LSTM ------------------------------------------------------------------------

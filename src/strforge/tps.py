@@ -142,9 +142,9 @@ class TpsTransformer:
         target = np.clip(target, -ATANH_CLAMP, ATANH_CLAMP)
         fc2.bias.data[...] = target
 
-    def forward(self, x: Tensor, mode="train") -> Tensor:
+    def forward(self, x: Tensor, training=True) -> Tensor:
         b = x.shape[0]
-        raw = self.loc_net.forward(x, mode)
+        raw = self.loc_net.forward(x, training)
         points = tc.tanh(raw).reshape(b, 2, self.num_fiducials)  # fiducials C
         source = tc.matmul(points, self._grid_map)               # (B, 2, N)
         h, w = self.out_size

@@ -180,7 +180,7 @@ def test_criterion_4_gradient_suite():
     xb, g, b = t64((4, 3, 1, 1)), t64(3), t64(3)
     state = BatchNormState(3, dtype=np.float64)
     rep = grad_check(
-        lambda x, g, b: (batchnorm(x.transpose(1, 0, 2, 3), g, b, state, mode="train").transpose(1, 0, 2, 3)
+        lambda x, g, b: (batchnorm(x.transpose(1, 0, 2, 3), g, b, state, training=True).transpose(1, 0, 2, 3)
                          * probe).sum(),
         [xb, g, b])
     assert rep["max_rel_error"] < 1e-4
@@ -239,7 +239,7 @@ def test_criterion_4_gradient_suite():
     img = Tensor(np.asarray(data.images, dtype=np.float64))
 
     def tiny_pipeline(bias):
-        warped = tps.forward(img, mode="train")           # (1, 1, 4, 6)
+        warped = tps.forward(img, training=True)          # (1, 1, 4, 6)
         frames = log_softmax(warped.reshape(1, 4, 6), axis=2)
         return ctc_loss_batch(frames, [encode_for(6, "ab")])
 

@@ -134,7 +134,7 @@ class TestScaling:
             x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 32, 100)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                y = net.forward(x, mode="train")
+                y = net.forward(x, True)
             assert y.shape[0] == 2 and y.shape[2] == 1, name
             assert (y.shape[1], y.shape[2], y.shape[3]) == net.output_shape, name
 
@@ -156,10 +156,10 @@ class TestRunnable:
         for p in store.tensors.values():
             p.data[...] = rng.normal(0, 0.05, p.shape)
         x = Tensor(rng.normal(size=(2, 1, 32, 100)))
-        net.forward(x, mode="train")
+        net.forward(x, True)
         with no_grad():
-            a = net.forward(x, mode="eval").data
-            b = net.forward(x, mode="eval").data
+            a = net.forward(x, False).data
+            b = net.forward(x, False).data
         assert np.array_equal(a, b)
 
     def test_backward_reaches_all_params(self):
@@ -170,6 +170,6 @@ class TestRunnable:
         for p in store.tensors.values():
             p.data[...] = rng.normal(0, 0.1, p.shape)
         x = Tensor(rng.normal(size=(1, 1, 32, 100)))
-        net.forward(x, mode="train").sum().backward()
+        net.forward(x, True).sum().backward()
         missing = [k for k, p in store.tensors.items() if p.grad is None]
         assert not missing

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import strforge.cli as cli
-from strforge.checkpoint import MAGIC
+from strforge.checkpoint import MAGIC, save_params
 from strforge.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from strforge.pipeline import PipelineConfig, assemble
 from strforge.tensor import Tensor
@@ -58,10 +58,12 @@ def test_train_zero_count_exits_2(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("flag, value", [("--clip", "-1"), ("--clip", "0"),
-                                         ("--rho", "1.5"), ("--rho", "-0.5")])
+                                         ("--rho", "1.5"), ("--rho", "-0.5"),
+                                         ("--stop-accuracy", "nan")])
 def test_train_hyperparameter_that_fails_silently_exits_2(tmp_path, capsys, monkeypatch,
                                                           flag, value):
-    # clip <= 0 flips or zeroes every update; a rho outside [0, 1) takes the root of a negative
+    # clip <= 0 flips or zeroes every update; a rho outside [0, 1) takes the root of a negative;
+    # a NaN stop accuracy never stops
     def no_assemble(*args, **kwargs):
         raise AssertionError("a model was assembled for an invalid recipe")
 
@@ -71,7 +73,7 @@ def test_train_hyperparameter_that_fails_silently_exits_2(tmp_path, capsys, monk
                  "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "error:" in err and f"{flag[2:]} must be" in err
+    assert "error:" in err and f"{flag[2:].replace('-', '_')} must be" in err
     assert not (tmp_path / "checkpoint.bin").exists()
 
 
@@ -136,6 +138,36 @@ def test_magic_only_checkpoint_exits_3_with_one_line(tmp_path, capsys):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "data error" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(extra=[1]),
+    lambda h: h.update(extra="None-VGG-None-CTC"),
+    lambda h: h["params"].update(a=[2, 3]),
+    lambda h: h["params"]["a"].update(shape=6),
+    lambda h: h["params"]["a"].update(shape=[2.0, 3.0]),
+    lambda h: h["extra"].update(config=7),
+    lambda h: h["extra"].update(scale="0.125"),
+    lambda h: h["extra"].update(num_fiducials="20"),
+], ids=["extra-list", "extra-string", "entry-list", "shape-int", "shape-floats", "config-int",
+        "scale-string", "num_fiducials-string"])
+def test_checkpoint_header_field_of_the_wrong_type_exits_3_with_one_line(tmp_path, capsys, edit):
+    # a valid container whose header, not its payload, is edited: the CRC-32 still matches;
+    # a TPS combination, so that num_fiducials is read
+    path = tmp_path / "ck.bin"
+    save_params(path, {"a": np.ones((2, 3), dtype=np.float32)},
+                extra={"config": "TPS-VGG-None-CTC", "scale": 0.125, "num_fiducials": 20})
+    blob = path.read_bytes()
+    n = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + n])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:])
+    code = main(["eval", "--checkpoint", str(path), "--val-size", "4", "--out", str(tmp_path / "ev")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "data error" in err
+    assert not (tmp_path / "ev" / "record.json").exists()
 
 
 def test_numeric_failure_exits_4(tmp_path, capsys, monkeypatch):

@@ -104,9 +104,9 @@ def test_train_and_validate_feed_the_model_dtype():
     seen = []
     features = model.features
 
-    def recording(x, mode="train"):
+    def recording(x, training=True):
         seen.append(x.dtype)
-        return features(x, mode)
+        return features(x, training)
 
     model.features = recording
     data = synth_toydata(4, max_len=2, seed=0)

@@ -187,7 +187,7 @@ def test_batchnorm_relu_rebuilt_by_conv2d_and_maxpool2d(case, pool):
     def chain(held):
         def op(x, w, gamma, beta, *w2):
             h = tc.conv2d(x, w, stride, padding)
-            h = tc.relu(tc.batchnorm(h, gamma, beta, tc.BatchNormState(c_out), mode="train"))
+            h = tc.relu(tc.batchnorm(h, gamma, beta, tc.BatchNormState(c_out), training=True))
             h = h + 0.0 if held else h
             return tc.maxpool2d(h, (2, 2), (2, 1), (1, 1)) if pool else tc.conv2d(h, w2[0], (1, 1), (1, 1))
         return op
@@ -216,7 +216,7 @@ def test_batchnorm_train_grad_on_drawn_shapes(n, c, h, w, seed):
     probe = kernel_layout(rng.normal(size=(n, c, h, w)))  # .sum() alone is constant under normalization
 
     def f(xx, gg, bb):
-        return (tc.batchnorm(xx, gg, bb, tc.BatchNormState(c), mode="train") * probe).sum()
+        return (tc.batchnorm(xx, gg, bb, tc.BatchNormState(c), training=True) * probe).sum()
 
     res = grad_check(f, [x, gamma, beta], tol=1e-3)
     assert res["passed"], res

@@ -169,7 +169,7 @@ def test_adadelta_first_step_closed_form():
     rho, eps, g = 0.95, 1e-6, 1.0
     p = Tensor(np.array([0.0]), requires_grad=True)
     state = AdaDeltaState()
-    adadelta_step({"p": p}, {"p": np.array([g])}, state, rho=rho, eps=eps)
+    adadelta_step({"p": p}, {"p": np.array([g])}, state, rho=rho)
     expected = -math.sqrt(eps) / math.sqrt((1 - rho) * g * g + eps) * g
     assert abs(p.data[0] - expected) < 1e-12
 
@@ -191,7 +191,7 @@ def test_adadelta_matches_hand_recurrence():
     state = AdaDeltaState()
     x, eg2, edx2 = 5.0, 0.0, 0.0
     for g in [2.0, -1.0, 0.5, 3.0]:
-        adadelta_step({"p": p}, {"p": np.array([g])}, state, rho=rho, eps=eps)
+        adadelta_step({"p": p}, {"p": np.array([g])}, state, rho=rho)
         eg2 = rho * eg2 + (1 - rho) * g * g
         dx = -math.sqrt(edx2 + eps) / math.sqrt(eg2 + eps) * g
         edx2 = rho * edx2 + (1 - rho) * dx * dx
@@ -232,7 +232,7 @@ def test_clip_gradients_property(values, magnitude):
 def test_assemble_from_name_and_decode_shapes():
     model = assemble("None-VGG-None-CTC", initialize=True)
     x = Tensor(np.zeros((2, 1, 32, 100), dtype=np.float32))
-    lp = model.frame_log_probs(x, mode="train")
+    lp = model.frame_log_probs(x, True)
     assert lp.shape == (2, model.seq_len, 37)
     assert lp.dtype == np.float32
     # frame distributions normalize, to float32 rounding over 37 classes
@@ -302,7 +302,7 @@ def test_single_step_decreases_loss_on_frozen_batch():
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     model = assemble("None-VGG-BiLSTM-CTC", initialize=True)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 1, 32, 100)))
-    ref = model.frame_log_probs(x, mode="train").data.copy()
+    ref = model.frame_log_probs(x, True).data.copy()
     path = tmp_path / "model.bin"
     model.save(path, extra={"note": "test"})
 
@@ -310,7 +310,7 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
     extra = clone.load(path)
     assert extra["note"] == "test"
     assert extra["config"] == "None-VGG-BiLSTM-CTC"
-    out = clone.frame_log_probs(x, mode="train").data
+    out = clone.frame_log_probs(x, True).data
     assert np.array_equal(out, ref)
 
 
@@ -391,12 +391,13 @@ def test_training_indices_fraction():
 
 
 @pytest.mark.parametrize("field, value", [("clip", 0.0), ("clip", -1.0), ("rho", 1.0),
-                                          ("rho", -0.5), ("eps", 0.0), ("eps", -1e-6),
-                                          ("rho", float("nan"))])
+                                          ("rho", -0.5), ("rho", float("nan")),
+                                          ("stop_accuracy", float("nan"))])
 def test_recipe_rejects_hyperparameters_that_fail_silently(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be"):
         TrainRecipe(**{field: value})
     TrainRecipe(rho=0.0)  # no decay is a valid AdaDelta setting
+    TrainRecipe(stop_accuracy=0.0)  # stop at the first validation
 
 
 def test_train_logs_and_keeps_best(tmp_path):
@@ -408,9 +409,10 @@ def test_train_logs_and_keeps_best(tmp_path):
     assert [row[0] for row in res.log] == [3, 6]
     assert res.best_step in (3, 6)
     assert res.best_accuracy == max(row[2] for row in res.log)
-    # the model ends holding the best parameters
-    held, _ = model.store.state()
-    assert all(np.array_equal(held[k], v) for k, v in res.best_state[0].items())
+    # the model ends holding the state of a run stopped at the best step
+    ref = assemble(cfg)
+    train(ref, _tiny_recipe(iterations=res.best_step), tr, va)
+    assert _state_bytes(model) == _state_bytes(ref)
     log_path = tmp_path / "log.csv"
     res.write_log(log_path)
     text = log_path.read_text()
@@ -436,9 +438,8 @@ def test_fraction_one_matches_plain_train():
     r1 = train(m1, _tiny_recipe(fraction=1.0), tr, va)
     m2 = assemble(cfg)
     r2 = train(m2, _tiny_recipe(), tr, va)
-    assert r1.log == r2.log
-    for k in r1.best_state[0]:
-        assert np.array_equal(r1.best_state[0][k], r2.best_state[0][k])
+    assert r1.log == r2.log and r1.best_step == r2.best_step
+    assert _state_bytes(m1) == _state_bytes(m2)
 
 
 def test_fraction_sweep_runs():
@@ -473,10 +474,10 @@ def test_non_finite_step_restores_the_best_parameters():
     initial, _ = model.store.state()
     with pytest.raises(FloatingPointError, match="step 3"):
         train(model, recipe, tr, va)
-    ref = train(assemble(cfg), _tiny_recipe(batch_size=2, iterations=2, val_interval=1),
-                tr, va)
+    ref = assemble(cfg)
+    train(ref, _tiny_recipe(batch_size=2, iterations=2, val_interval=1), tr, va)
+    assert _state_bytes(model) == _state_bytes(ref)
     after, _ = model.store.state()
-    assert all(np.array_equal(after[k], v) for k, v in ref.best_state[0].items())
     assert not all(np.array_equal(after[k], v) for k, v in initial.items())
 
 
@@ -721,7 +722,22 @@ def test_eval_loss_records_no_graph(monkeypatch, name):
         loss.backward()
     # an eval forward outside no_grad fails at its first batch norm
     with pytest.raises(StateError, match="no_grad"):
-        model.features(x, mode="eval")
+        model.features(x, False)
+
+
+@pytest.mark.parametrize("mode", ["Eval", "test", "", None, True])
+def test_loss_rejects_an_unknown_mode_before_any_forward(monkeypatch, mode):
+    model = assemble(PipelineConfig.from_string("None-RCNN-None-CTC", scale=0.125))
+    data = synth_toydata(4, max_len=3, seed=0)
+    x = Tensor(data.images)
+    model.loss(x, data.labels)  # a train-mode forward fills the BN statistics
+    before = _state_bytes(model)
+    made = []
+    monkeypatch.setattr(Tensor, "_make", staticmethod(lambda *a: made.append(a)))
+    with pytest.raises(ValueError, match="mode"):
+        model.loss(x, data.labels, mode=mode)
+    assert not made
+    assert _state_bytes(model) == before
 
 
 def test_decode_does_not_depend_on_the_batch_size_on_all_24():

@@ -103,7 +103,7 @@ class TestBiLSTM:
                          dtype=np.float64)
         assert model.seq is None
         x = Tensor(np.random.default_rng(5).normal(size=(2, 1, 32, 100)))
-        v = model.feat.forward(x, "train").data
+        v = model.feat.forward(x, True).data
         b, c, _, w = v.shape
-        assert np.array_equal(model.features(x, "train").data,
+        assert np.array_equal(model.features(x, True).data,
                               v.reshape(b, c, w).transpose(0, 2, 1))

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 import weakref
@@ -395,7 +396,7 @@ class TestNNOps:
 
     @pytest.mark.parametrize("op", [
         lambda x, w, g, b: tc.conv2d(x, w, padding=(1, 1)),
-        lambda x, w, g, b: tc.batchnorm(x, g, b, tc.BatchNormState(8, np.float32), mode="train"),
+        lambda x, w, g, b: tc.batchnorm(x, g, b, tc.BatchNormState(8, np.float32), training=True),
         lambda x, w, g, b: tc.maxpool2d(x, (2, 2), (2, 1), (0, 1)),
     ], ids=["conv2d-padded", "batchnorm-train", "maxpool2d-padded"])
     def test_recorded_op_holds_only_its_output(self, op):
@@ -414,14 +415,14 @@ class TestNNOps:
         assert held <= out.data.nbytes + 16 * 1024  # measured: 2-3 KiB beyond the output
 
     @pytest.mark.parametrize("produce, consume", [
-        (lambda t: tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), mode="train"),
+        (lambda t: tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), training=True),
          lambda mid, t: tc.relu(mid)),
         (lambda t: t["x"] + t["y"], lambda mid, t: tc.relu(mid)),
         (lambda t: tc.conv2d(cnhw(t["x"]), t["w"], padding=(1, 1)), lambda mid, t: mid + t["b"].reshape(-1, 1, 1, 1)),
         (lambda t: tc.matmul(t["x"], t["m"]), lambda mid, t: mid + t["b"]),
-        (lambda t: tc.relu(tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), mode="train")),
+        (lambda t: tc.relu(tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), training=True)),
          lambda mid, t: tc.conv2d(mid, t["w"], padding=(1, 1))),
-        (lambda t: tc.relu(tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), mode="train")),
+        (lambda t: tc.relu(tc.batchnorm(cnhw(t["x"]), t["g"], t["b"], tc.BatchNormState(8), training=True)),
          lambda mid, t: tc.maxpool2d(mid, (2, 2), (2, 1), (1, 0))),
     ], ids=["batchnorm-relu", "add-relu", "conv2d-bias", "matmul-bias",
             "batchnorm-relu-conv2d", "batchnorm-relu-maxpool2d"])
@@ -456,41 +457,41 @@ class TestNNOps:
         def f(xx, gg, bb):
             # .sum() alone is constant under normalization; probe breaks the symmetry
             state = tc.BatchNormState(3)
-            return (cnhw(tc.batchnorm(cnhw(xx), gg, bb, state, mode="train")) * probe).sum()
+            return (cnhw(tc.batchnorm(cnhw(xx), gg, bb, state, training=True)) * probe).sum()
 
         res = grad_check(f, [x, g, b], tol=1e-3)
         assert res["passed"], res
 
     def test_batchnorm_eval_raises_while_recording(self):
-        # eval mode is inference: it has no backward, so a recording graph
-        # with an input that needs a gradient is refused, input by input
+        # inference has no backward, so a recording graph with an input that
+        # needs a gradient is refused, input by input
         state = tc.BatchNormState(3)
         state.update(rand((3,), 15), np.array([0.5, 1.0, 2.0]))
         data = rand((4, 3, 2, 2), 16), rand((3,), 17), rand((3,), 18)
         for needs in range(3):
             x, g, b = (Tensor(a, requires_grad=i == needs) for i, a in enumerate(data))
             with pytest.raises(tc.StateError, match="no_grad"):
-                tc.batchnorm(cnhw(x), g, b, state, mode="eval")
+                tc.batchnorm(cnhw(x), g, b, state, training=False)
             with tc.no_grad():
-                out = tc.batchnorm(cnhw(x), g, b, state, mode="eval")
+                out = tc.batchnorm(cnhw(x), g, b, state, training=False)
             assert not out.requires_grad and out._node is None
         # outside a recording graph it needs no no_grad: constants record nothing
         c = (1, -1, 1, 1)
         want = ((data[0] - state.running_mean.reshape(c))
                 / np.sqrt(state.running_var.reshape(c) + state.eps)
                 * data[1].reshape(c) + data[2].reshape(c))
-        out = tc.batchnorm(cnhw(Tensor(data[0])), Tensor(data[1]), Tensor(data[2]), state, mode="eval")
+        out = tc.batchnorm(cnhw(Tensor(data[0])), Tensor(data[1]), Tensor(data[2]), state, training=False)
         assert np.allclose(cnhw(out.data), want)
 
     @pytest.mark.parametrize("shape", [(6, 3), (6, 3, 4), (2, 6, 3, 4, 1)])
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_batchnorm_rejects_input_that_is_not_4d(self, shape, mode):
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batchnorm_rejects_input_that_is_not_4d(self, shape, training):
         # every batch-norm layer follows a conv, so its input is NCHW
         state = tc.BatchNormState(3)
         state.update(np.zeros(3), np.ones(3))
         g, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
         with pytest.raises(tc.ShapeError, match="4-D"):
-            tc.batchnorm(Tensor(rand(shape, 20)), g, b, state, mode=mode)
+            tc.batchnorm(Tensor(rand(shape, 20)), g, b, state, training)
 
     def test_batchnorm_eval_uses_running_stats(self):
         state = tc.BatchNormState(2)
@@ -498,8 +499,8 @@ class TestNNOps:
         b = Tensor(np.zeros(2))
         x = cnhw(Tensor(rand((8, 2, 3, 3), 7)))
         for _ in range(50):
-            tc.batchnorm(x, g, b, state, mode="train")
-        out = tc.batchnorm(x, g, b, state, mode="eval")
+            tc.batchnorm(x, g, b, state, training=True)
+        out = tc.batchnorm(x, g, b, state, training=False)
         assert abs(float(out.data.mean())) < 0.2
 
     @staticmethod
@@ -669,6 +670,29 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         path.write_bytes(ckpt.MAGIC + len(header).to_bytes(4, "little") + header)
         with pytest.raises(ValueError, match="params"):
+            ckpt.load_params(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("extra", [1]), ("extra", "x"), ("entry", [2, 3]), ("shape", 6), ("shape", [2.0, 3.0]),
+        ("shape", [2, True]), ("offset", "0"),
+    ], ids=["extra-list", "extra-string", "entry-list", "shape-int", "shape-floats",
+            "shape-bool", "offset-string"])
+    def test_a_header_field_of_the_wrong_type_is_rejected(self, tmp_path, field, value):
+        # the payload is untouched, so its CRC-32 still matches: only the type is wrong
+        path = tmp_path / "ck.bin"
+        ckpt.save_params(path, {"a": np.ones((2, 3), dtype=np.float32)}, extra={"note": "x"})
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + n])
+        if field == "extra":
+            header["extra"] = value
+        elif field == "entry":
+            header["params"]["a"] = value
+        else:
+            header["params"]["a"][field] = value
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:])
+        with pytest.raises(ValueError, match="extra" if field == "extra" else "params entry 'a'"):
             ckpt.load_params(path)
 
 

@@ -93,7 +93,7 @@ class TestTransformer:
         tr.reset_head()
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 1, 32, 100)))
-        out = tr.forward(x, mode="train")  # zeroed head ignores the BN batch stats
+        out = tr.forward(x, True)  # zeroed head ignores the BN batch stats
         assert out.shape == (2, 1, 32, 100)
         assert np.abs(out.data - x.data).max() < 1e-6
 
@@ -133,7 +133,7 @@ class TestTransformer:
         fc2.bias.data[...] = np.clip(fc2.bias.data, -1.5, 1.5)
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(1, 1, 32, 100)))
-        out = tr.forward(x, mode="train")
+        out = tr.forward(x, True)
         (out * out).sum().backward()
         assert fc2.bias.grad is not None
         assert np.abs(fc2.bias.grad).max() > 0
