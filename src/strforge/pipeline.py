@@ -174,8 +174,8 @@ class Model:
     def features(self, x: Tensor, training: bool = True) -> Tensor:
         """Images (B, 1, 32, 100) -> feature sequence (B, I, D).
 
-        Images of another dtype are cast to the model's dtype (a constant, no
-        gradient), so the model computes in its own dtype whatever it is fed.
+        Images of another dtype are cast to the model's dtype here, the one cast
+        site (a constant, no gradient), so the model computes in its own dtype.
         """
         if x.dtype != self.dtype:
             x = Tensor(x.data, dtype=self.dtype)
@@ -355,7 +355,7 @@ def validate(model: Model, images, labels, batch_size: int = 64) -> float:
         raise ConfigError("the validation set is empty")
     preds = []
     for s in range(0, n, batch_size):
-        preds += model.decode(Tensor(np.asarray(images[s:s + batch_size], dtype=model.dtype)))
+        preds += model.decode(Tensor(images[s:s + batch_size]))
     return word_accuracy(preds, labels)
 
 
@@ -390,7 +390,7 @@ def train(model: Model, recipe: TrainRecipe, train_set, val_set) -> TrainResult:
     log = []
     for it in range(1, recipe.iterations + 1):
         idx = pool[rng.integers(0, len(pool), size=recipe.batch_size)]
-        x = Tensor(np.asarray(train_set.images[idx], dtype=model.dtype))
+        x = Tensor(train_set.images[idx])
         labels = [train_set.labels[int(i)] for i in idx]
         loss = model.loss(x, labels)
         for p in params.values():

@@ -5,12 +5,12 @@ special class — blank for CTC, end-of-sequence for attention. CTC marginal
 probabilities are computed by the forward (alpha) dynamic program over the
 blank-interleaved label, in log space, as one graph node whose backward is the
 closed-form alpha-beta occupation posterior, so ``ctc_loss_batch``
-backpropagates into the frame log-probabilities. The
-attention math is one NumPy step, ``AttnDecoder.step``: greedy decoding calls
-it on arrays, and the teacher-forced loss runs it inside one graph node,
-``AttnDecoder.forward``. Its LSTM core is ``tensor.lstm_cell`` on a gate-major
-view in the weights' gate order, and its BPTT ``lstm_cell_backward``: the cell the
-Seq stage's ``bilstm`` runs. Decoding is greedy for both heads; no beam search.
+backpropagates into the frame log-probabilities. Each head's loss ends in one
+negative log-likelihood node, ``_nll``. The attention math is one NumPy step,
+``AttnDecoder.step``: greedy decoding calls it on arrays, and the teacher-forced
+loss runs it inside one graph node, ``AttnDecoder.forward``. Its LSTM core is
+``tensor.lstm_cell`` on a gate-major view in the weights' gate order, and its
+BPTT ``lstm_cell_backward``: the cell the Seq stage's ``bilstm`` runs. Decoding is greedy for both heads; no beam search.
 """
 
 from __future__ import annotations
@@ -176,13 +176,26 @@ def ctc_loss_batch(h: Tensor, labels) -> Tensor:
     log-prob is not masked.
     """
     logp = ctc_log_prob_batch(h, labels)
-    feasible = logp[np.flatnonzero(logp.data != NEG_INF)]
-    return -(feasible.sum() * (1.0 / len(labels)))
+    return _nll(logp, np.flatnonzero(logp.data != NEG_INF), 1, len(labels))
+
+
+def _nll(logp: Tensor, key, weight, count) -> Tensor:
+    """-sum(logp[key] * weight) / count as one graph node; `key` picks each entry at most
+    once, so the backward writes -(g / count) * weight into zeros at `key`."""
+    shape, dtype = logp.shape, logp.dtype
+    scale = dtype.type(1 / count)
+
+    def backward(g):
+        full = np.zeros(shape, dtype)
+        full[key] = -(g * scale) * weight
+        return (full,)
+
+    return Tensor._make(-(logp.data[key] * weight).sum() * scale, (logp,), backward)
 
 
 def ctc_greedy_decode(h) -> str:
     """Per-frame argmax over 37-class posteriors (first-index tie-break), then collapse."""
-    h = np.asarray(h.data if isinstance(h, Tensor) else h)
+    h = np.asarray(h)
     if h.ndim != 2:
         raise ShapeError(f"expected (T, C) posteriors, got {h.shape}")
     return collapse(np.argmax(h, axis=1))
@@ -306,9 +319,8 @@ def attn_loss_batch(hseq: Tensor, labels, decoder: AttnDecoder) -> Tensor:
 
     logp = log_softmax(decoder.forward(hseq, targets), axis=2)
     steps = np.arange(tmax)
-    picked = logp[np.arange(batch)[:, None], steps, targets]
     mask = (steps <= lengths[:, None]).astype(hseq.dtype)  # step len(Y) emits EOS
-    return -(picked * Tensor(mask)).sum() * (1.0 / batch)
+    return _nll(logp, (np.arange(batch)[:, None], steps, targets), mask, batch)
 
 
 def attn_greedy_decode_batch(hseq: Tensor, decoder: AttnDecoder, max_len: int = 25):

@@ -247,15 +247,6 @@ class Tensor:
 
         return Tensor._make(a * b, (self, other), backward)
 
-    def __neg__(self):
-        def backward(g):
-            return (-g,)
-
-        return Tensor._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
@@ -278,16 +269,6 @@ class Tensor:
     @property
     def T(self):
         return self.transpose()
-
-    def __getitem__(self, key):
-        ashape, dtype = self.shape, self.dtype
-
-        def backward(g):
-            full = np.zeros(ashape, dtype)
-            np.add.at(full, key, g)
-            return (full,)
-
-        return Tensor._make(self.data[key], (self,), backward)
 
     # -- reductions ----------------------------------------------------------
 
@@ -364,26 +345,23 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-def logsumexp(x: Tensor, axis: int) -> Tensor:
-    """log(sum(exp(x))) along `axis`, kept as a size-1 axis; safe for -inf
-    entries (empty sums stay -inf)."""
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """x - log(sum(exp(x))) along `axis`, as one node. Safe for -inf entries: they read
+    -inf and softmax 0, and a row with no finite entry reads -inf throughout."""
     m = np.max(x.data, axis=axis, keepdims=True)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(x.data - m_safe)
     s = e.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out_data = np.log(s) + m_safe
+    lse = np.log(np.where(s == 0, 1.0, s)) + m_safe  # a row with no finite entry subtracts 0
 
     def backward(g):
         with np.errstate(invalid="ignore"):
             soft = np.where(s > 0, e / np.where(s > 0, s, 1.0), 0.0)
-        return (g * soft,)
+        soft *= -g.sum(axis=axis, keepdims=True)  # in place: g + (-sum g) * softmax
+        soft += g
+        return (soft,)
 
-    return Tensor._make(out_data, (x,), backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return x - logsumexp(x, axis=axis)
+    return Tensor._make(x.data - lse, (x,), backward)
 
 
 # -- convolution / pooling -------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ctc_oracle import ctc_brute_force, encode_for
+from test_predict import ctc_log_prob, rand_posterior
 from strforge.arch import (
     ArchWarning,
     build_localization_net,
@@ -40,7 +41,6 @@ from strforge.predict import (
     CODEC,
     attn_loss_batch,
     collapse,
-    ctc_log_prob_batch,
     ctc_loss_batch,
 )
 from strforge.tensor import (
@@ -66,16 +66,6 @@ from strforge.tradeoff import (
 )
 
 
-def _random_frames(rng, t, c):
-    h = rng.normal(size=(t, c))
-    return h - np.log(np.exp(h).sum(axis=1, keepdims=True))
-
-
-def _ctc_log_prob(h, y):
-    """log p(y | h) for one (T, C) posterior, run as a batch of one."""
-    return float(ctc_log_prob_batch(Tensor(h[None]), [encode_for(h.shape[1], y)]).data[0])
-
-
 # ---------------------------------------------------------------------------
 # 1. CTC oracle equivalence
 # ---------------------------------------------------------------------------
@@ -87,11 +77,11 @@ def test_criterion_1_ctc_oracle_equivalence():
     for _ in range(200):
         t = int(rng.integers(1, 7))
         c = int(rng.integers(2, 5))
-        h = _random_frames(rng, t, c)
+        h = rand_posterior(t, c, rng)
         max_label = min(t, 3)
         y = "".join(rng.choice(list(alphabet[:c - 1]))
                     for _ in range(rng.integers(0, max_label + 1)))
-        got = _ctc_log_prob(h, y)
+        got = ctc_log_prob(h, y)
         total = ctc_brute_force(h, y)  # probability-space oracle
         if total == 0.0:
             assert got == -np.inf
@@ -100,11 +90,11 @@ def test_criterion_1_ctc_oracle_equivalence():
             assert abs(got - want) / max(abs(want), 1.0) < 1e-9
 
     # total probability over all label strings sums to 1 (T=5, C=3)
-    h = _random_frames(np.random.default_rng(1), 5, 3)
+    h = rand_posterior(5, 3, np.random.default_rng(1))
     total = 0.0
     for n in range(0, 6):
         for y in itertools.product("ab", repeat=n):
-            lp = _ctc_log_prob(h, "".join(y))
+            lp = ctc_log_prob(h, "".join(y))
             if lp > -np.inf:
                 total += math.exp(lp)
     assert abs(total - 1.0) < 1e-9

@@ -24,7 +24,7 @@ def run_one_direction(direction, steps):
     h = c = np.zeros((batch, hidden))
     out = []
     for x in steps:
-        h, c = lstm_cell_reference(x.data, h, c, direction.w_ih.data, direction.w_hh.data,
+        h, c = lstm_cell_reference(x, h, c, direction.w_ih.data, direction.w_hh.data,
                                    direction.bias.data)
         out.append(h)
     return out
@@ -52,7 +52,7 @@ class TestBiLSTM:
     def test_single_step_degeneracy(self):
         layer = filled_layer(1)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 1, 8)))
-        steps = [x[:, 0, :]]
+        steps = [x.data[:, 0, :]]
         out = layer.forward(x)
         assert out.shape == (2, 1, 4)
         hf = run_one_direction(layer.fwd, steps)[0]
@@ -64,7 +64,7 @@ class TestBiLSTM:
         # the layer equals the two manual direction runs, concatenated, then projected
         layer = filled_layer(3)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 8)))
-        steps = [x[:, i, :] for i in range(3)]
+        steps = [x.data[:, i, :] for i in range(3)]
         out = layer.forward(x)
         hf = run_one_direction(layer.fwd, steps)
         hb = run_one_direction(layer.bwd, steps[::-1])[::-1]

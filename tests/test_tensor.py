@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from strforge import checkpoint as ckpt
 from strforge import tensor as tc
 from strforge.tensor import Tensor, grad_check
-from test_kernels_generated import CHUNK_BOUND, rel_err
+from test_kernels_generated import CHUNK_BOUND, naive_conv2d, naive_maxpool2d, rel_err
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -23,22 +23,6 @@ def cnhw(a):
     return a.transpose(1, 0, 2, 3)
 
 
-def naive_conv2d(x, w, stride, padding):
-    """Cross-correlation by explicit loops over every output cell."""
-    (sh, sw), (ph, pw) = stride, padding
-    n, _, h, wd = x.shape
-    c_out, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
-    out = np.zeros((n, c_out, ho, wo))
-    for b in range(n):
-        for o in range(c_out):
-            for i in range(ho):
-                for j in range(wo):
-                    out[b, o, i, j] = (xp[b, :, i * sh:i * sh + kh, j * sw:j * sw + kw] * w[o]).sum()
-    return out
-
-
 def lstm_cell_reference(x, h, c, w_ih, w_hh, bias):
     """One four-gate LSTM step on arrays, gate order (input, forget, cell, output)."""
     hid = h.shape[1]
@@ -47,19 +31,6 @@ def lstm_cell_reference(x, h, c, w_ih, w_hh, bias):
     i, f, o = sig(z[:, :hid]), sig(z[:, hid:2 * hid]), sig(z[:, 3 * hid:])
     c = f * c + i * np.tanh(z[:, 2 * hid:3 * hid])
     return o * np.tanh(c), c
-
-
-def naive_maxpool2d(x, kernel, stride, padding):
-    """Window maximum by explicit loops; padded cells are -inf, trailing cells floor away."""
-    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
-    n, c, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=-np.inf)
-    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
-    out = np.zeros((n, c, ho, wo))
-    for i in range(ho):
-        for j in range(wo):
-            out[:, :, i, j] = xp[:, :, i * sh:i * sh + kh, j * sw:j * sw + kw].max(axis=(2, 3))
-    return out
 
 
 def naive_maxpool2d_grad(x, g, kernel, stride, padding):
@@ -162,13 +133,22 @@ class TestAutodiffBasics:
         tc.maxpool2d(x, (2, 3)).sum().backward()
         assert np.allclose(x.grad, [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]])
 
-    def test_logsumexp_neg_inf_safe(self):
-        x = Tensor(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]),
-                   requires_grad=True)
-        out = tc.logsumexp(x, axis=1)
-        assert out.data[0, 0] == -np.inf and np.isclose(out.data[1, 0], 0.0)
-        out.sum().backward()
-        assert np.all(np.isfinite(x.grad))
+    def test_log_softmax_neg_inf_safe(self):
+        # a row with no finite entry stays -inf; a finite entry beside -inf reads 0;
+        # a loss that reads only the finite entries gives a finite gradient, zero on
+        # the row it does not read
+        x = Tensor(np.array([[-np.inf, -np.inf], [0.0, -np.inf]]), requires_grad=True)
+        out = tc.log_softmax(x, axis=1)
+        assert np.all(out.data[0] == -np.inf) and out.data[1, 0] == 0.0
+        out.backward(np.isfinite(out.data).astype(np.float64))
+        assert np.all(np.isfinite(x.grad)) and np.all(x.grad[0] == 0.0)
+
+    @pytest.mark.parametrize("shape, axis", [((3, 5), 1), ((2, 3, 37), 2)])
+    def test_log_softmax_grad(self, shape, axis):
+        x = Tensor(rand(shape, 5, 2.0), requires_grad=True)
+        probe = rand(shape, 6)
+        res = grad_check(lambda xx: (tc.log_softmax(xx, axis=axis) * probe).sum(), [x])
+        assert res["passed"], res
 
     def test_backward_on_a_constant_raises(self):
         c = Tensor(rand((3,), 1)).sum()
@@ -598,16 +578,6 @@ class TestNNOps:
         x = Tensor(np.ones((1, 1, 3, 3)))
         grid = Tensor(np.full((1, 1, 1, 2), 5.0))
         assert np.allclose(tc.bilinear_sample(x, grid).data, 0.0)
-
-    def test_index_arrays_gather_rows(self):
-        # x[rows, idx] is the CTC recursion's per-row gather; an index repeated
-        # within a row receives the sum of its gradients
-        x = Tensor(rand((2, 5), 11), requires_grad=True)
-        idx = np.array([[0, 0, 4], [1, 2, 3]])
-        out = x[np.arange(2)[:, None], idx]
-        assert np.array_equal(out.data, [x.data[0, [0, 0, 4]], x.data[1, [1, 2, 3]]])
-        out.sum().backward()
-        assert np.array_equal(x.grad, [[2.0, 0, 0, 0, 1], [0, 1, 1, 1, 0]])
 
     def test_sigmoid_saturates_without_overflow(self):
         x = Tensor(np.float32([-1000, 0, 1000]), requires_grad=True)
